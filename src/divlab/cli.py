@@ -254,6 +254,15 @@ def cmd_sieve(cfg: RunConfig) -> int:
 
 
 def cmd_witness(cfg: RunConfig) -> int:
+    if cfg.mode == "override" and None not in (cfg.x, cfg.k, cfg.window_hi):
+        # witnesses satisfy n_m <= m*(k+2), and m reaches the window top
+        # rounded up
+        top = math.ceil(cfg.window_hi) * (cfg.k + 2)
+        if top > cfg.x:
+            raise ConfigError(
+                f"window_hi*(k+2) = {top} exceeds x = {cfg.x:g}: "
+                "witnesses could fall above x; lower window_hi or raise x"
+            )
     cover = _load_cover(cfg)
     F = critical_polynomial(cover)
     sieve = _build_sieve(F, cfg)

@@ -7,17 +7,17 @@ N/(log N)^(1-eta) benchmark.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 from .algebra import AlgebraError, CurveCover, IntPoly, poly_discriminant
 from .factorization import (
     factor_integer,
     factor_over_Z,
+    has_root_mod_p,
     is_irreducible_mod_p,
     is_prime,
 )
-from .sieve import prime_sieve
 
 
 class DegenerateFiberError(ValueError):
@@ -34,21 +34,23 @@ def fiber_poly(cover: CurveCover, n: int) -> IntPoly:
 
 
 def is_fiber_irreducible(cover: CurveCover, n: int) -> Optional[bool]:
-    """Is g(n, u) irreducible over Q?  Exact: quadratics by a perfect
-    square test on the discriminant, otherwise a fast mod-p certificate
-    with full rational factorization as fallback.  None is reserved for
-    budget-limited unknowns."""
-    f = fiber_poly(cover, n)
+    """Is g(n, u) irreducible over Q?  Exact, by route on the degree:
+    degree <= 1 is irreducible; degree 2 is irreducible iff its
+    discriminant is not a perfect square; degree 3 is irreducible if it
+    has no root mod some good prime p (p prime, p not dividing lc * disc,
+    the first 10 such p tried); degree >= 4 is irreducible if it is
+    irreducible mod some good prime (Rabin's test); when no good prime
+    certifies a cubic or higher fiber, the full factorization over Z
+    decides.  None is reserved for budget-limited unknowns."""
+    return _analyze_fiber(cover, n).irreducible
+
+
+def _irreducible(f: IntPoly, disc: int) -> bool:
+    """The routes of is_fiber_irreducible, given disc = disc(f)."""
     if f.degree <= 1:
         return True
     if f.degree == 2:
-        a, b, c = f.coeffs[2], f.coeffs[1], f.coeffs[0]
-        disc = b * b - 4 * a * c
-        if disc < 0:
-            return True
-        r = math.isqrt(disc)
-        return r * r != disc
-    disc = poly_discriminant(f)
+        return disc < 0 or math.isqrt(disc) ** 2 != disc
     if disc == 0:
         return False
     good = 0
@@ -56,7 +58,12 @@ def is_fiber_irreducible(cover: CurveCover, n: int) -> Optional[bool]:
     while good < 10:
         if is_prime(p) and f.lc % p != 0 and disc % p != 0:
             good += 1
-            if is_irreducible_mod_p(f, p):
+            if f.degree == 3:
+                # squarefree of full degree mod p: irreducible iff no root
+                certified = not has_root_mod_p(f, p)
+            else:
+                certified = is_irreducible_mod_p(f, p)
+            if certified:
                 return True
         p += 1
     _, factors = factor_over_Z(f)
@@ -90,7 +97,10 @@ def fingerprint(fpoly: IntPoly, trial_bound: int = 10_000, effort: int = 1_000_0
     """Odd-valuation primes of disc(fpoly).  An unfactored cofactor that
     is a perfect square cannot change any parity; otherwise the
     fingerprint is marked incomplete."""
-    disc = poly_discriminant(fpoly)
+    return _fingerprint(poly_discriminant(fpoly), trial_bound, effort)
+
+
+def _fingerprint(disc: int, trial_bound: int, effort: int) -> FieldFingerprint:
     if disc == 0:
         raise AlgebraError("zero discriminant: polynomial is not separable")
     fact = factor_integer(disc, trial_bound=trial_bound, effort=effort)
@@ -166,20 +176,27 @@ class CensusConfig:
     mode: str = "paper"
 
 
-def _census_rows(cover: CurveCover, n_lo: int, n_hi: int, config: CensusConfig) -> list[CensusRow]:
+def _analyze_fiber(cover: CurveCover, n: int, config: Optional[CensusConfig] = None) -> CensusRow:
+    """The per-fiber pipeline: specialize g(n, u) once, compute its
+    discriminant once, decide irreducibility, and fingerprint an
+    irreducible fiber when a census config is given.  A degenerate fiber
+    raises DegenerateFiberError."""
+    f = fiber_poly(cover, n)
+    disc = poly_discriminant(f)
+    irr = _irreducible(f, disc)
+    fp = None
+    if irr and config is not None:
+        fp = _fingerprint(disc, config.trial_bound, config.effort)
+    return CensusRow(n=n, fiber_degree=f.degree, irreducible=irr, fingerprint=fp, new_field=False)
+
+
+def _census_rows(cover: CurveCover, n_lo: int, n_hi: int, config: Optional[CensusConfig]) -> list[CensusRow]:
     rows: list[CensusRow] = []
     for n in range(n_lo, n_hi + 1):
         try:
-            f = fiber_poly(cover, n)
+            rows.append(_analyze_fiber(cover, n, config))
         except DegenerateFiberError:
             rows.append(CensusRow(n=n, fiber_degree=-1, irreducible=None, fingerprint=None, new_field=False))
-            continue
-        irr = is_fiber_irreducible(cover, n)
-        if irr is not True:
-            rows.append(CensusRow(n=n, fiber_degree=f.degree, irreducible=irr, fingerprint=None, new_field=False))
-            continue
-        fp = fingerprint(f, trial_bound=config.trial_bound, effort=config.effort)
-        rows.append(CensusRow(n=n, fiber_degree=f.degree, irreducible=True, fingerprint=fp, new_field=False))
     return rows
 
 
@@ -266,13 +283,4 @@ def run_census(cover: CurveCover, N: int, config: CensusConfig = CensusConfig())
 
 def count_reducible_fibers(cover: CurveCover, N: int) -> int:
     """Reducible-fiber count over n = 1..N (degenerate fibers excluded)."""
-    count = 0
-    for n in range(1, N + 1):
-        try:
-            if is_fiber_irreducible(cover, n) is False:
-                count += 1
-        except DegenerateFiberError:
-            continue
-    return count
-
-
+    return sum(row.irreducible is False for row in _census_rows(cover, 1, N, None))

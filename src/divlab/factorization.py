@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .algebra import AlgebraError, IntPoly, poly_gcd, poly_discriminant
+from .algebra import AlgebraError, IntPoly, poly_gcd
 
 # Deterministic Miller-Rabin: this base set is a primality certificate for
 # every integer below 3.3 * 10^24.
@@ -122,6 +122,25 @@ def roots_mod_p(f: IntPoly, p: int) -> list[int]:
     if len(g) <= 1:
         return []
     return sorted(_split_roots(g, p, random.Random(0x5EED ^ p)))
+
+
+def has_root_mod_p(f: IntPoly, p: int) -> bool:
+    """Does f have a root mod p?  Cheaper than roots_mod_p: quadratics by
+    Euler's criterion on the discriminant, small p by evaluation, and
+    otherwise gcd(f, x^p - x) without splitting it."""
+    a = _reduce_mod_p(f, p)
+    if len(a) <= 1:
+        # constant (content stripped upstream): no root unless zero
+        return not a
+    if len(a) == 2:
+        return True
+    if len(a) == 3 and p > 2:
+        disc = (a[1] * a[1] - 4 * a[2] * a[0]) % p
+        return disc == 0 or pow(disc, (p - 1) // 2, p) == 1
+    if p < 50:
+        return any(_eval_mod(a, r, p) == 0 for r in range(p))
+    xp = _ppowmod([0, 1], p, a, p)
+    return len(_pgcd(a, _psub(xp, [0, 1], p), p)) > 1
 
 
 def _psub(a: list[int], b: list[int], p: int) -> list[int]:
@@ -397,17 +416,6 @@ def _centered(c: int, q: int) -> int:
     return c - q if c > q // 2 else c
 
 
-def _qmul(a: list[int], b: list[int], q: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim([c % q for c in out])
-
-
 def _qdivmod_monic(a: list[int], b: list[int], q: int) -> tuple[list[int], list[int]]:
     """Division by a monic polynomial with coefficients mod q."""
     assert b and b[-1] == 1
@@ -427,28 +435,15 @@ def _hensel_step(fc, g, h, s, t, m):
     """One quadratic Hensel step: from f = g*h (mod m), s*g + t*h = 1 (mod m),
     with g, h monic, to the same relations mod m^2."""
     m2 = m * m
-    e = _psub_q(fc, _qmul(g, h, m2), m2)
-    qq, r = _qdivmod_monic(_qmul(s, e, m2), h, m2)
-    gstar = _trim([(x + y) % m2 for x, y in _zip_pad(g, _padd_q(_qmul(t, e, m2), _qmul(qq, g, m2), m2))])
-    hstar = _trim([(x + y) % m2 for x, y in _zip_pad(h, r)])
-    b = _psub_q(_padd_q(_qmul(s, gstar, m2), _qmul(t, hstar, m2), m2), [1], m2)
-    cc, dd = _qdivmod_monic(_qmul(s, b, m2), hstar, m2)
-    sstar = _psub_q(s, dd, m2)
-    tstar = _psub_q(t, _padd_q(_qmul(t, b, m2), _qmul(cc, gstar, m2), m2), m2)
+    e = _psub(fc, _pmul(g, h, m2), m2)
+    qq, r = _qdivmod_monic(_pmul(s, e, m2), h, m2)
+    gstar = _padd(g, _padd(_pmul(t, e, m2), _pmul(qq, g, m2), m2), m2)
+    hstar = _padd(h, r, m2)
+    b = _psub(_padd(_pmul(s, gstar, m2), _pmul(t, hstar, m2), m2), [1], m2)
+    cc, dd = _qdivmod_monic(_pmul(s, b, m2), hstar, m2)
+    sstar = _psub(s, dd, m2)
+    tstar = _psub(t, _padd(_pmul(t, b, m2), _pmul(cc, gstar, m2), m2), m2)
     return gstar, hstar, sstar, tstar
-
-
-def _zip_pad(a, b):
-    n = max(len(a), len(b))
-    return zip(a + [0] * (n - len(a)), b + [0] * (n - len(b)))
-
-
-def _padd_q(a, b, q):
-    return _trim([(x + y) % q for x, y in _zip_pad(list(a), list(b))])
-
-
-def _psub_q(a, b, q):
-    return _trim([(x - y) % q for x, y in _zip_pad(list(a), list(b))])
 
 
 def _hensel_lift_tree(f: IntPoly, facs: list[list[int]], p: int, q: int) -> list[list[int]]:
@@ -509,7 +504,7 @@ def _recombine(f: IntPoly, lifted: list[list[int]], q: int) -> list[IntPoly]:
             for combo in itertools.combinations(remaining, size):
                 prod = [1]
                 for i in combo:
-                    prod = _qmul(prod, lifted[i], q)
+                    prod = _pmul(prod, lifted[i], q)
                 cand = IntPoly.of([_centered(c, q) for c in prod])
                 try:
                     quotient = current.exact_div(cand)

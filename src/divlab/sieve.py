@@ -8,12 +8,12 @@ from __future__ import annotations
 import bisect
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
 from .algebra import AlgebraError, IntPoly, poly_discriminant
-from .factorization import factor_integer, roots_mod_p, _reduce_mod_p, _pgcd, _ppowmod, _psub
+from .factorization import factor_integer, has_root_mod_p
 
 
 def prime_sieve(limit: int) -> list[int]:
@@ -41,30 +41,6 @@ def prime_sieve(limit: int) -> list[int]:
         primes.extend(lo + i for i, flag in enumerate(seg) if flag)
         lo = hi + 1
     return primes
-
-
-def _has_root_mod_p(f: IntPoly, p: int) -> bool:
-    a = _reduce_mod_p(f, p)
-    if len(a) <= 1:
-        # constant (content stripped upstream): no root unless zero
-        return not a
-    if len(a) == 2:
-        return True
-    if len(a) == 3 and p > 2:
-        # quadratic: root iff the discriminant is a square mod p
-        disc = (a[1] * a[1] - 4 * a[2] * a[0]) % p
-        return disc == 0 or pow(disc, (p - 1) // 2, p) == 1
-    if p < 50:
-        v = 0
-        for r in range(p):
-            acc = 0
-            for c in reversed(a):
-                acc = (acc * r + c) % p
-            if acc == 0:
-                return True
-        return False
-    xp = _ppowmod([0, 1], p, a, p)
-    return len(_pgcd(a, _psub(xp, [0, 1], p), p)) > 1
 
 
 @dataclass(frozen=True)
@@ -96,7 +72,7 @@ def build_PF(F: IntPoly, limit: int) -> ChebotarevSieve:
     if disc == 0:
         raise AlgebraError("F is not separable (zero discriminant)")
     primes = prime_sieve(limit)
-    kept = tuple(p for p in primes if disc % p != 0 and _has_root_mod_p(F, p))
+    kept = tuple(p for p in primes if disc % p != 0 and has_root_mod_p(F, p))
     return ChebotarevSieve(
         F=F, limit=limit, discriminant=disc, primes_in_PF=kept, total_primes=len(primes)
     )

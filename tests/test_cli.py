@@ -97,6 +97,16 @@ class TestWitnessCommand:
             ["85", "5*17", "13", "0", "greedy"],
         ]
 
+    def test_window_past_x_over_k_plus_two_is_config_error(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "witness", "--cover", "u^2 + t^2 + 1", "--x", "1e6",
+            "--mode", "override", "--k", "2", "--y", "5", "--window-lo", "75000",
+            "--window-hi", "1e6", "--tail", "off", "--out", str(tmp_path),
+        )
+        assert code == 1
+        assert "window_hi*(k+2)" in err and "x = 1e+06" in err
+        assert not (tmp_path / "witnesses.csv").exists()
+
     def test_empty_paper_mode_warns_but_succeeds(self, tmp_path, capsys):
         with pytest.warns(UserWarning):
             code = main([
@@ -121,6 +131,16 @@ class TestSieveCommand:
         rows = read_csv(tmp_path / "mf.csv")
         assert rows[0] == ["m", "factorization", "P", "m1"]
         assert [r[0] for r in rows[1:]] == ["65", "85"]
+
+    def test_window_past_x_over_k_plus_two_is_accepted(self, tmp_path, capsys):
+        # the witness bound n_m <= m*(k+2) does not constrain the sieve
+        code, _, _ = run(
+            capsys, "sieve", "--cover", "u^2 + t^2 + 1", "--x", "1e6",
+            "--mode", "override", "--k", "2", "--y", "5", "--window-lo", "75000",
+            "--window-hi", "1e6", "--tail", "off", "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert len(read_csv(tmp_path / "mf.csv")) > 1
 
 
 class TestDiversityCommand:

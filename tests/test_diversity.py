@@ -55,8 +55,8 @@ class TestIrreducibility:
     def test_random_fibers_against_sympy(self):
         rng = random.Random(17)
         covers = [SQRT_COVER, CUBIC_BASE, parse_cover("u^3 - t*u - t"),
-                  parse_cover("u^4 - t*u^2 + t^2 + 1")]
-        for _ in range(120):
+                  parse_cover("u^4 - t*u^2 + t^2 + 1"), parse_cover("u^3 - t")]
+        for _ in range(150):
             cover = rng.choice(covers)
             n = rng.randint(1, 3000)
             f = fiber_poly(cover, n)
@@ -66,6 +66,29 @@ class TestIrreducibility:
             if f.degree <= 1:
                 want = True
             assert got is want
+
+    def test_pure_cubic_reducible_exactly_at_cubes(self):
+        cover = parse_cover("u^3 - t")
+        reducible = [n for n in range(1, 1001) if is_fiber_irreducible(cover, n) is False]
+        assert reducible == [k**3 for k in range(1, 11)]
+
+
+class TestFiberPipeline:
+    def test_one_specialization_and_one_discriminant_per_fiber(self, monkeypatch):
+        import divlab.diversity as diversity
+
+        calls = {"fiber_poly": 0, "poly_discriminant": 0}
+        for name in calls:
+            original = getattr(diversity, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(diversity, name, counted)
+        census = run_census(parse_cover("u^3 - t*u - t"), 200, CensusConfig(eta=0.001))
+        assert len(census.per_n) == 200 and census.skipped == ()
+        assert calls == {"fiber_poly": 200, "poly_discriminant": 200}
 
 
 class TestFingerprint:

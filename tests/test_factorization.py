@@ -3,13 +3,16 @@ import random
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from divlab.algebra import AlgebraError, IntPoly
+from divlab.algebra import AlgebraError, IntPoly, poly_discriminant
 from divlab.factorization import (
     _reduce_mod_p,
     factor_integer,
     factor_mod_p,
     factor_over_Z,
+    has_root_mod_p,
     is_irreducible_mod_p,
     is_prime,
     roots_mod_p,
@@ -53,6 +56,32 @@ class TestRootsModP:
                 continue
             brute = sorted(r for r in range(p) if f(r) % p == 0)
             assert roots_mod_p(f, p) == brute
+
+
+class TestHasRootModP:
+    def test_agrees_with_exhaustive_evaluation(self):
+        # primes past 50 reach the gcd(f, x^p - x) branch
+        rng = random.Random(13)
+        primes = [p for p in range(2, 400) if is_prime(p)]
+        for _ in range(400):
+            p = rng.choice(primes)
+            f = random_poly(rng)
+            if all(c % p == 0 for c in f.coeffs):
+                continue
+            assert has_root_mod_p(f, p) == any(f(r) % p == 0 for r in range(p))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(-50, 50), min_size=4, max_size=4),
+        st.sampled_from([p for p in range(2, 48) if is_prime(p)]),
+    )
+    def test_cubic_root_iff_reducible(self, coeffs, p):
+        # a cubic that is squarefree of full degree mod p is irreducible
+        # there exactly when it has no root
+        f = IntPoly.of(coeffs)
+        assume(f.degree == 3 and f.lc % p != 0)
+        assume(poly_discriminant(f) % p != 0)
+        assert has_root_mod_p(f, p) == (not is_irreducible_mod_p(f, p))
 
 
 class TestFactorModP:
