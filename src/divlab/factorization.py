@@ -109,7 +109,10 @@ class ModPolyFactorization:
 
 
 def roots_mod_p(f: IntPoly, p: int) -> list[int]:
-    """All residues r in [0, p) with f(r) = 0 mod p, each listed once."""
+    """All residues r in [0, p) with f(r) = 0 mod p, sorted, each listed
+    once: by evaluation for p < 50, otherwise by splitting
+    gcd(f, x^p - x) into linear factors x - r with the equal-degree
+    (Cantor-Zassenhaus) step at degree 1."""
     a = _reduce_mod_p(f, p)
     if not a:
         raise AlgebraError(f"polynomial vanishes identically mod {p}")
@@ -121,7 +124,7 @@ def roots_mod_p(f: IntPoly, p: int) -> list[int]:
     g = _pgcd(a, _psub(xp, [0, 1], p), p)
     if len(g) <= 1:
         return []
-    return sorted(_split_roots(g, p, random.Random(0x5EED ^ p)))
+    return sorted(-h[0] % p for h in _equal_degree_split(g, 1, p, random.Random(0x5EED ^ p)))
 
 
 def has_root_mod_p(f: IntPoly, p: int) -> bool:
@@ -155,23 +158,6 @@ def _eval_mod(a: list[int], r: int, p: int) -> int:
     for c in reversed(a):
         v = (v * r + c) % p
     return v
-
-
-def _split_roots(g: list[int], p: int, rng: random.Random) -> list[int]:
-    # g splits into distinct linear factors mod p
-    if len(g) == 2:
-        return [(-g[0] * pow(g[1], -1, p)) % p]
-    if g[0] == 0:
-        rest = _trim(g[1:])
-        return [0] + (_split_roots(rest, p, rng) if len(rest) > 1 else [])
-    while True:
-        b = rng.randrange(p)
-        h = _ppowmod([b, 1], (p - 1) // 2, g, p)
-        d = _pgcd(g, _psub(h, [1], p), p)
-        if 1 < len(d) < len(g):
-            other, rem = _pdivmod(g, d, p)
-            assert not rem
-            return _split_roots(d, p, rng) + _split_roots(other, p, rng)
 
 
 def factor_mod_p(f: IntPoly, p: int) -> ModPolyFactorization:
@@ -416,31 +402,16 @@ def _centered(c: int, q: int) -> int:
     return c - q if c > q // 2 else c
 
 
-def _qdivmod_monic(a: list[int], b: list[int], q: int) -> tuple[list[int], list[int]]:
-    """Division by a monic polynomial with coefficients mod q."""
-    assert b and b[-1] == 1
-    r = [c % q for c in a]
-    _trim(r)
-    qt = [0] * max(0, len(r) - len(b) + 1)
-    for i in range(len(r) - len(b), -1, -1):
-        c = r[i + len(b) - 1] % q
-        qt[i] = c
-        if c:
-            for j, y in enumerate(b):
-                r[i + j] = (r[i + j] - c * y) % q
-    return _trim(qt), _trim(r)
-
-
 def _hensel_step(fc, g, h, s, t, m):
     """One quadratic Hensel step: from f = g*h (mod m), s*g + t*h = 1 (mod m),
     with g, h monic, to the same relations mod m^2."""
     m2 = m * m
     e = _psub(fc, _pmul(g, h, m2), m2)
-    qq, r = _qdivmod_monic(_pmul(s, e, m2), h, m2)
+    qq, r = _pdivmod(_pmul(s, e, m2), h, m2)
     gstar = _padd(g, _padd(_pmul(t, e, m2), _pmul(qq, g, m2), m2), m2)
     hstar = _padd(h, r, m2)
     b = _psub(_padd(_pmul(s, gstar, m2), _pmul(t, hstar, m2), m2), [1], m2)
-    cc, dd = _qdivmod_monic(_pmul(s, b, m2), hstar, m2)
+    cc, dd = _pdivmod(_pmul(s, b, m2), hstar, m2)
     sstar = _psub(s, dd, m2)
     tstar = _psub(t, _padd(_pmul(t, b, m2), _pmul(cc, gstar, m2), m2), m2)
     return gstar, hstar, sstar, tstar

@@ -13,7 +13,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .algebra import AlgebraError, IntPoly, poly_discriminant
+from .algebra import IntPoly, poly_discriminant
 from .factorization import factor_integer, roots_mod_p
 from .sieve import ChebotarevSieve, DiversityParams, MFElement
 
@@ -53,12 +53,12 @@ def _squarefree_primes(m: int) -> tuple[int, ...]:
 def rho_F(F: IntPoly, m: int) -> int:
     """Number of residues n in [0, m) with F(n) = 0 mod m, for squarefree
     m, via multiplicativity over the prime factors."""
-    out = 1
-    for p in _squarefree_primes(m):
-        if all(c % p == 0 for c in F.coeffs):
-            raise AlgebraError(f"{p} divides the content of F")
-        out *= len(roots_mod_p(F, p))
-    return out
+    return math.prod(len(roots_mod_p(F, p)) for p in _squarefree_primes(m))
+
+
+def _root_table(F: IntPoly, primes: Iterable[int]) -> dict[int, list[int]]:
+    """roots_mod_p(F, p) for each distinct p, computed once."""
+    return {p: roots_mod_p(F, p) for p in sorted(set(primes))}
 
 
 def exact_divides(m: int, value: int) -> bool:
@@ -80,12 +80,14 @@ def crt_root(F: IntPoly, m: int) -> CrtRoot:
     all combinations while their number stays below the enumeration cap.
     """
     primes = _squarefree_primes(m)
-    per_prime: list[list[int]] = []
+    return _crt_root(primes, m, _root_table(F, primes))
+
+
+def _crt_root(primes: Sequence[int], m: int, roots: dict[int, list[int]]) -> CrtRoot:
     for p in primes:
-        roots = roots_mod_p(F, p)
-        if not roots:
+        if not roots[p]:
             raise NoRootError(p)
-        per_prime.append(roots)
+    per_prime = [roots[p] for p in primes]
     count = math.prod(len(r) for r in per_prime)
     best: Optional[int] = None
     minimal = count <= CRT_ENUMERATION_CAP
@@ -114,22 +116,23 @@ def exact_divisor_shift(F: IntPoly, m: int, n: int) -> int:
     smallest prime factor exceeding omega(m).  A valid shift is then
     guaranteed to exist; failing to find one is an internal error.
     """
-    primes = _squarefree_primes(m)
-    omega = len(primes)
+    return _shift(F, poly_discriminant(F), _squarefree_primes(m), m, n)
+
+
+def _shift(F: IntPoly, disc: int, primes: Sequence[int], m: int, n: int) -> int:
     if F(n) % m != 0:
         raise PreconditionError(f"m = {m} does not divide F({n})")
-    disc = poly_discriminant(F)
     if disc == 0:
         raise PreconditionError("F is not separable")
     if math.gcd(m, disc) != 1:
         raise PreconditionError(f"m = {m} shares a factor with disc(F) = {disc}")
-    # p_min(m) > omega(m) is what guarantees a shift exists; the search
-    # itself is well defined without it
-    guaranteed = primes[0] > omega
+    omega = len(primes)
     for ell in range(omega + 1):
         if exact_divides(m, F(n + ell * m)):
             return ell
-    if not guaranteed:
+    # p_min(m) > omega(m) is what guarantees a shift exists; the search
+    # itself is well defined without it
+    if primes[0] <= omega:
         raise PreconditionError(
             f"no shift found and p_min(m) = {primes[0]} <= omega(m) = {omega}"
         )
@@ -159,11 +162,19 @@ def primitive_witness(F: IntPoly, m: int, k: Optional[int] = None, x: Optional[f
     """Build the canonical witness: minimal CRT root (remapped to m when
     zero), then the minimal exact-divisor shift.  Asserts the bound
     n_m <= m*(omega(m)+1), and n_m <= m*(k+2) <= x when the set
-    parameters are supplied."""
+    parameters are supplied.  Factors m once; for many m over one F,
+    witnesses_for_MF shares disc(F) and the roots mod each prime."""
     primes = _squarefree_primes(m)
-    root = crt_root(F, m)
+    return _witness(F, poly_discriminant(F), primes, m, _root_table(F, primes), k, x)
+
+
+def _witness(
+    F: IntPoly, disc: int, primes: tuple[int, ...], m: int, roots: dict[int, list[int]],
+    k: Optional[int], x: Optional[float],
+) -> WitnessRecord:
+    root = _crt_root(primes, m, roots)
     n0 = root.n if root.n > 0 else m
-    ell = exact_divisor_shift(F, m, n0)
+    ell = _shift(F, disc, primes, m, n0)
     n_m = n0 + ell * m
     omega = len(primes)
     if n_m > m * (omega + 1):
@@ -190,9 +201,18 @@ def recheck_witness(F: IntPoly, rec: WitnessRecord) -> bool:
 def witnesses_for_MF(
     F: IntPoly, mf: Sequence[MFElement], params: Optional[DiversityParams] = None
 ) -> list[WitnessRecord]:
+    """primitive_witness for every element of the set, in order, without
+    factoring: each element's primes are taken as given (they must be
+    strictly increasing with product m), disc(F) is computed once and
+    roots_mod_p once per distinct prime of the set."""
+    for e in mf:
+        if math.prod(e.primes) != e.m or any(a >= b for a, b in zip((1,) + e.primes, e.primes)):
+            raise PreconditionError(f"{e.primes} is not the increasing prime list of m = {e.m}")
     k = params.k if params is not None else None
     x = params.x if params is not None else None
-    return [primitive_witness(F, e.m, k=k, x=x) for e in mf]
+    disc = poly_discriminant(F)
+    roots = _root_table(F, (p for e in mf for p in e.primes))
+    return [_witness(F, disc, e.primes, e.m, roots, k, x) for e in mf]
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +420,9 @@ def heavy_n_scan(
     if threshold is None:
         threshold = 6 * d
     counts: dict[int, int] = defaultdict(int)
+    roots = _root_table(F, (p for e in mf for p in e.primes))
     for e in mf:
-        per_prime = [roots_mod_p(F, p) for p in e.primes]
-        for combo in itertools.product(*per_prime):
+        for combo in itertools.product(*(roots[p] for p in e.primes)):
             r = _crt_combine(e.primes, combo, e.m)
             n = r if r > 0 else e.m
             while n <= x:
@@ -487,19 +507,20 @@ def lemma_shift_suite(trials: int = 1000, seed: int = 0) -> ShiftSuiteReport:
         if disc == 0:
             continue
         omega = rng.randint(2, 3)
-        primes = []
+        roots = {}
         for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43):
-            if disc % p != 0 and F.content() % p != 0 and len(roots_mod_p(F, p)) > 0:
-                primes.append(p)
+            if disc % p != 0 and F.content() % p != 0:
+                roots[p] = roots_mod_p(F, p)
+        primes = [p for p, r in roots.items() if r]
         if len(primes) < omega:
             skipped += 1
             continue
-        chosen = rng.sample(primes, omega)
+        chosen = sorted(rng.sample(primes, omega))
         m = math.prod(chosen)
-        root = crt_root(F, m)
+        root = _crt_root(chosen, m, roots)
         n = root.n if root.n > 0 else m
         try:
-            ell = exact_divisor_shift(F, m, n)
+            ell = _shift(F, disc, chosen, m, n)
             max_shift = max(max_shift, ell)
         except LemmaViolation:
             violations += 1

@@ -1,10 +1,13 @@
-"""Source hygiene: every name a divlab module imports is used in it.
+"""Source hygiene: every name a divlab module imports is used in it, and
+every module-private function or class is referenced somewhere in the
+package other than its own body.
 
-Stdlib only.  The package's __init__.py is exempt, since its imports are
-re-exports.
+Stdlib only.  The package's __init__.py is exempt from the import check,
+since its imports are re-exports.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -27,6 +30,36 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in sorted(imported.items()) if name not in used]
 
 
+def referenced_names(tree: ast.AST) -> Counter:
+    names: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def unreferenced_private(sources: dict[str, str]) -> list[str]:
+    """Top-level `_name` functions and classes that no code outside their
+    own definition refers to, across all the given modules."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    total = sum((referenced_names(tree) for tree in trees.values()), Counter())
+    out = []
+    for module, tree in sorted(trees.items()):
+        for node in tree.body:
+            if (
+                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+                and not node.name.startswith("__")
+                and total[node.name] == referenced_names(node)[node.name]
+            ):
+                out.append(f"{module}: {node.name}")
+    return out
+
+
 def test_modules_found():
     assert len(MODULES) >= 6
 
@@ -39,3 +72,20 @@ def test_no_unused_imports(path):
 def test_detector_flags_an_unused_name():
     source = "import os\nfrom typing import Optional, Sequence\nx: Optional[int] = os.sep\n"
     assert unused_imports(source) == ["line 2: Sequence"]
+
+
+def test_no_unreferenced_private_definitions():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in SRC.glob("*.py")}
+    assert unreferenced_private(sources) == []
+
+
+def test_private_detector():
+    a = (
+        "def _used(n):\n    return n\n"
+        "def _recursive(n):\n    return _recursive(n - 1) if n else 0\n"
+        "class _Orphan:\n    pass\n"
+        "def _imported():\n    pass\n"
+        "def public():\n    return _used(1)\n"
+    )
+    b = "from .a import _imported\n"
+    assert unreferenced_private({"a.py": a, "b.py": b}) == ["a.py: _recursive", "a.py: _Orphan"]

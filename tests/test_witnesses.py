@@ -138,6 +138,52 @@ class TestPrimitiveWitness:
         rec.n_m += 1
         assert not recheck_witness(T2P1, rec)
 
+    def test_unit_m(self):
+        # m = 1 has no prime factor; the shift search succeeds at l = 0
+        assert exact_divisor_shift(T2P1, 1, 1) == 0
+        rec = primitive_witness(T2P1, 1)
+        assert (rec.primes, rec.n_m, rec.shift_l) == ((), 1, 0)
+
+    def test_inconsistent_element_rejected(self):
+        for bad in (MFElement(65, (13, 5)), MFElement(66, (5, 13)), MFElement(25, (5, 5)),
+                    MFElement(65, (1, 65))):
+            with pytest.raises(PreconditionError):
+                witnesses_for_MF(T2P1, [bad])
+
+    @pytest.mark.parametrize("F", [T2P1, CUBIC], ids=["T2P1", "CUBIC"])
+    def test_set_pipeline_agrees_with_single_witness(self, F):
+        x = 10**5
+        params = DiversityParams.override(
+            x=x, d=F.degree, k=2, y=5, window_lo=x / 16, window_hi=x / 4
+        )
+        mf = enumerate_MF(build_PF(F, x), params)
+        assert len(mf) > 50
+        assert witnesses_for_MF(F, mf) == [primitive_witness(F, e.m) for e in mf]
+
+    def test_set_pipeline_never_factors(self, monkeypatch):
+        import divlab.witnesses as W
+
+        def recorded(fn, log):
+            def wrapper(*args):
+                log.append(args)
+                return fn(*args)
+
+            return wrapper
+
+        x = 10**5
+        params = DiversityParams.override(
+            x=x, d=2, k=2, y=5, window_lo=x / 16, window_hi=x / 4
+        )
+        mf = enumerate_MF(build_PF(T2P1, x), params)
+        calls = {"factor_integer": [], "poly_discriminant": [], "roots_mod_p": []}
+        for name, log in calls.items():
+            monkeypatch.setattr(W, name, recorded(getattr(W, name), log))
+        recs = witnesses_for_MF(T2P1, mf, params)
+        assert len(recs) == len(mf) > 50
+        assert calls["factor_integer"] == []
+        assert len(calls["poly_discriminant"]) == 1
+        assert sorted(p for _, p in calls["roots_mod_p"]) == sorted({p for e in mf for p in e.primes})
+
     def test_mf_bound_with_params(self, small_PF_quadratic):
         params = DiversityParams.override(
             x=1000, d=2, k=1, y=5, window_lo=50, window_hi=100, tail_exponent=None
