@@ -190,9 +190,13 @@ def _analyze_fiber(cover: CurveCover, n: int, config: Optional[CensusConfig] = N
     return CensusRow(n=n, fiber_degree=f.degree, irreducible=irr, fingerprint=fp, new_field=False)
 
 
-def _census_rows(cover: CurveCover, n_lo: int, n_hi: int, config: Optional[CensusConfig]) -> list[CensusRow]:
+# fibers per task when the census runs on worker processes
+_CENSUS_CHUNK = 25
+
+
+def _census_rows(cover: CurveCover, ns: range, config: Optional[CensusConfig]) -> list[CensusRow]:
     rows: list[CensusRow] = []
-    for n in range(n_lo, n_hi + 1):
+    for n in ns:
         try:
             rows.append(_analyze_fiber(cover, n, config))
         except DegenerateFiberError:
@@ -201,9 +205,9 @@ def _census_rows(cover: CurveCover, n_lo: int, n_hi: int, config: Optional[Censu
 
 
 def _census_shard(args) -> list[CensusRow]:
-    cover_coeffs, n_lo, n_hi, config = args
+    cover_coeffs, ns, config = args
     cover = CurveCover(tuple(IntPoly(c) for c in cover_coeffs))
-    return _census_rows(cover, n_lo, n_hi, config)
+    return _census_rows(cover, ns, config)
 
 
 def run_census(cover: CurveCover, N: int, config: CensusConfig = CensusConfig()) -> DiversityCensus:
@@ -215,14 +219,16 @@ def run_census(cover: CurveCover, N: int, config: CensusConfig = CensusConfig())
         raise ValueError("census needs N >= 10")
     workers = max(1, config.workers)
     if workers == 1:
-        rows = _census_rows(cover, 1, N, config)
+        rows = _census_rows(cover, range(1, N + 1), config)
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        step = -(-N // workers)
+        # per-fiber cost grows with n: small chunks pulled by whichever
+        # worker is free keep the workers evenly loaded
+        coeffs = tuple(f.coeffs for f in cover.coeffs_u)
         shards = [
-            (tuple(f.coeffs for f in cover.coeffs_u), lo, min(lo + step - 1, N), config)
-            for lo in range(1, N + 1, step)
+            (coeffs, range(lo, min(lo + _CENSUS_CHUNK, N + 1)), config)
+            for lo in range(1, N + 1, _CENSUS_CHUNK)
         ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = [r for shard in pool.map(_census_shard, shards) for r in shard]
@@ -283,4 +289,4 @@ def run_census(cover: CurveCover, N: int, config: CensusConfig = CensusConfig())
 
 def count_reducible_fibers(cover: CurveCover, N: int) -> int:
     """Reducible-fiber count over n = 1..N (degenerate fibers excluded)."""
-    return sum(row.irreducible is False for row in _census_rows(cover, 1, N, None))
+    return sum(row.irreducible is False for row in _census_rows(cover, range(1, N + 1), None))

@@ -9,6 +9,7 @@ All randomized searches run on fixed seeds, so outputs are reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -30,15 +31,20 @@ def _trim(a: list[int]) -> list[int]:
     return a
 
 
-def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
+def _zmul(a: list[int], b: list[int]) -> list[int]:
+    """The product over Z, unreduced: the one product loop of the kernel."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim([c % p for c in out])
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
+    return _trim([c % p for c in _zmul(a, b)])
 
 
 def _pdivmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -71,14 +77,48 @@ def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def _ppowmod(a: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    out = [1]
+    """a^e mod (mod, p): left-to-right square-and-multiply, every step one
+    _pmulmod."""
+    if not e:
+        return [1]
+    n = len(mod) - 1
+    rows = _reduction_rows(mod, p)
     a = _pmod(a, mod, p)
-    while e:
-        if e & 1:
-            out = _pmod(_pmul(out, a, p), mod, p)
-        a = _pmod(_pmul(a, a, p), mod, p)
-        e >>= 1
+    out = a
+    for bit in bin(e)[3:]:
+        out = _pmulmod(out, out, rows, n, p)
+        if bit == "1":
+            out = _pmulmod(out, a, rows, n, p)
     return out
+
+
+def _reduction_rows(mod: list[int], p: int) -> list[list[int]]:
+    """Row k holds the n coefficients of x^(n+k) mod f, for k = 0..n-2,
+    where f is mod made monic and n = deg f."""
+    inv = pow(mod[-1], -1, p)
+    row = [-c * inv % p for c in mod[:-1]]  # x^n = -(f_0 + ... + f_(n-1) x^(n-1))
+    rows = []
+    for _ in range(len(row) - 1):
+        rows.append(row)
+        top = row[-1]
+        row = [0] + row[:-1]
+        if top:
+            row = [(r + top * c) % p for r, c in zip(row, rows[0])]
+    return rows
+
+
+def _pmulmod(u: list[int], v: list[int], rows: list[list[int]], n: int, p: int) -> list[int]:
+    """u * v mod (f, p) for u, v of degree < n = deg f, with rows from
+    _reduction_rows(f, p): multiply in plain integers, fold each top
+    coefficient of the product back through its row, and reduce mod p
+    once per output coefficient."""
+    prod = _zmul(u, v)
+    low = prod[:n]
+    for k, c in enumerate(prod[n:]):
+        if c:
+            for i, r in enumerate(rows[k]):
+                low[i] += c * r
+    return _trim([c % p for c in low])
 
 
 def _pderiv(a: list[int], p: int) -> list[int]:
@@ -129,8 +169,11 @@ def roots_mod_p(f: IntPoly, p: int) -> list[int]:
 
 def has_root_mod_p(f: IntPoly, p: int) -> bool:
     """Does f have a root mod p?  Cheaper than roots_mod_p: quadratics by
-    Euler's criterion on the discriminant, small p by evaluation, and
-    otherwise gcd(f, x^p - x) without splitting it."""
+    Euler's criterion on the discriminant; cubics whose discriminant is a
+    non-residue by Stickelberger's theorem, (D/p) = (-1)^(n - r) for r
+    irreducible factors mod p, so r = 2 and the factor degrees are 1 + 2;
+    small p by evaluation; otherwise gcd(f, x^p - x) without splitting
+    it."""
     a = _reduce_mod_p(f, p)
     if len(a) <= 1:
         # constant (content stripped upstream): no root unless zero
@@ -140,6 +183,12 @@ def has_root_mod_p(f: IntPoly, p: int) -> bool:
     if len(a) == 3 and p > 2:
         disc = (a[1] * a[1] - 4 * a[2] * a[0]) % p
         return disc == 0 or pow(disc, (p - 1) // 2, p) == 1
+    if len(a) == 4 and p > 2:
+        a0, a1, a2, a3 = a
+        disc = (a2 * a2 * a1 * a1 - 4 * a3 * a1**3 - 4 * a2**3 * a0
+                - 27 * a3 * a3 * a0 * a0 + 18 * a3 * a2 * a1 * a0) % p
+        if disc and pow(disc, (p - 1) // 2, p) == p - 1:
+            return True
     if p < 50:
         return any(_eval_mod(a, r, p) == 0 for r in range(p))
     xp = _ppowmod([0, 1], p, a, p)
@@ -245,10 +294,11 @@ def _equal_degree_split(f: list[int], d: int, p: int, rng: random.Random) -> lis
         b = [rng.randrange(p) for _ in range(n - 1)] + [1]
         if p == 2:
             # trace map T + T^2 + ... + T^(2^(d-1))
+            rows = _reduction_rows(f, p)
             h = list(b)
             acc = list(b)
             for _ in range(d - 1):
-                acc = _pmod(_pmul(acc, acc, p), f, p)
+                acc = _pmulmod(acc, acc, rows, n, p)
                 h = _padd(h, acc, p)
         else:
             h = _psub(_ppowmod(b, (p**d - 1) // 2, f, p), [1], p)
@@ -579,7 +629,7 @@ def _brent_rho(n: int, effort: int) -> int:
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    qacc = qacc * abs(x - y) % n
+                    qacc = qacc * (x - y) % n
                 g = math.gcd(qacc, n)
                 k += m
             r *= 2
@@ -596,28 +646,40 @@ def _brent_rho(n: int, effort: int) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
+def _trial_primes(bound: int) -> tuple[int, list[int]]:
+    """The product of the primes up to bound, and those primes."""
+    from .sieve import prime_sieve
+
+    primes = prime_sieve(bound)
+    return math.prod(primes), primes
+
+
 def factor_integer(nval: int, trial_bound: int = 10_000, effort: int = 1_000_000) -> IntFactorization:
-    """Factor a nonzero integer: trial division to trial_bound, then
-    Pollard rho (Brent) within the iteration budget.  The unsplit part
-    lands in cofactor."""
+    """Factor a nonzero integer: trial division by the primes up to
+    trial_bound (at least 2, 3 and 5), found through one gcd with their
+    product, then Pollard rho (Brent) within the iteration budget.  The
+    unsplit part lands in cofactor."""
     if nval == 0:
         raise AlgebraError("cannot factor zero")
     sign = -1 if nval < 0 else 1
     n = abs(nval)
     found: dict[int, int] = {}
-    for p in (2, 3, 5):
+    product, primes = _trial_primes(max(trial_bound, 5))
+    g = math.gcd(n, product)
+    small = []
+    for p in primes:
+        if p * p > g:
+            break
+        if g % p == 0:
+            small.append(p)
+            g //= p
+    if g > 1:
+        small.append(g)  # no prime below sqrt(g) is left in g, so g is prime
+    for p in small:
         while n % p == 0:
             found[p] = found.get(p, 0) + 1
             n //= p
-    d = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
-    wi = 0
-    while d <= trial_bound and d * d <= n:
-        while n % d == 0:
-            found[d] = found.get(d, 0) + 1
-            n //= d
-        d += wheel[wi]
-        wi = (wi + 1) % 8
     cofactor = 1
     stack = [n] if n > 1 else []
     while stack:

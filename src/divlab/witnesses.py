@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .algebra import IntPoly, poly_discriminant
-from .factorization import factor_integer, roots_mod_p
+from .factorization import factor_integer, is_prime, roots_mod_p
 from .sieve import ChebotarevSieve, DiversityParams, MFElement
 
 # above this many root combinations, crt_root stops searching for the
@@ -57,8 +57,14 @@ def rho_F(F: IntPoly, m: int) -> int:
 
 
 def _root_table(F: IntPoly, primes: Iterable[int]) -> dict[int, list[int]]:
-    """roots_mod_p(F, p) for each distinct p, computed once."""
-    return {p: roots_mod_p(F, p) for p in sorted(set(primes))}
+    """roots_mod_p(F, p) for each distinct p, computed once; each p must
+    be prime."""
+    table = {}
+    for p in sorted(set(primes)):
+        if not is_prime(p):
+            raise PreconditionError(f"{p} is not prime")
+        table[p] = roots_mod_p(F, p)
+    return table
 
 
 def exact_divides(m: int, value: int) -> bool:

@@ -198,6 +198,12 @@ class TestCensus:
         quad = run_census(SQRT_COVER, 400, CensusConfig(workers=4))
         assert lone.per_n == quad.per_n
         assert lone.distinct_lower_bound == quad.distinct_lower_bound
+        # workers pull small chunks of fibers in whatever order they finish
+        for text, N in (("u^3 - t*u - t", 300), ("2*u^4 - t^2*u + 3", 60)):
+            runs = [run_census(parse_cover(text), N, CensusConfig(workers=w, eta=0.01))
+                    for w in (1, 2, 3)]
+            assert runs[0].per_n == runs[1].per_n == runs[2].per_n
+            assert len({r.distinct_lower_bound for r in runs}) == 1
 
     def test_degenerate_fibers_skipped_not_fatal(self):
         census = run_census(parse_cover("t*u^2 - u - 1"), 50)

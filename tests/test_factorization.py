@@ -5,9 +5,13 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_pow_mod, gf_strip
 
 from divlab.algebra import AlgebraError, IntPoly, poly_discriminant
+from divlab import factorization
 from divlab.factorization import (
+    _ppowmod,
     _reduce_mod_p,
     factor_integer,
     factor_mod_p,
@@ -19,6 +23,7 @@ from divlab.factorization import (
 )
 
 x = sympy.Symbol("x")
+PRIMES_TO_10K = [p for p in range(2, 10**4) if is_prime(p)]
 
 
 def to_sympy(f):
@@ -59,6 +64,16 @@ class TestRootsModP:
             assert roots_mod_p(f, p) == brute
 
 
+# discriminants -23, -31, -2^2 * 109 and -3^3 * 53^2 (a triple root mod
+# 53); the last leading coefficient drops the degree mod 61 and 67
+CUBICS = [(-1, -1, 0, 1), (-1, 1, 0, 1), (4, 1, 0, 1), (53, 0, 0, 1), (5, -3, 7, 61 * 67)]
+
+
+def cubic_has_root(c, p):
+    c0, c1, c2, c3 = c
+    return any((((c3 * r + c2) * r + c1) * r + c0) % p == 0 for r in range(p))
+
+
 class TestHasRootModP:
     def test_agrees_with_exhaustive_evaluation(self):
         # primes past 50 reach the gcd(f, x^p - x) branch
@@ -83,6 +98,53 @@ class TestHasRootModP:
         assume(f.degree == 3 and f.lc % p != 0)
         assume(poly_discriminant(f) % p != 0)
         assert has_root_mod_p(f, p) == (not is_irreducible_mod_p(f, p))
+
+    def test_cubics_at_every_prime_to_3000(self):
+        legendre = set()
+        for c in CUBICS:
+            f = IntPoly.of(list(c))
+            disc = poly_discriminant(f)
+            for p in range(51, 3000, 2):
+                if not is_prime(p):
+                    continue
+                legendre.add(sympy.jacobi_symbol(disc % p, p))
+                assert has_root_mod_p(f, p) == cubic_has_root(c, p), (c, p)
+        assert legendre == {-1, 0, 1}
+
+    def test_non_residue_discriminant_skips_the_power(self, monkeypatch):
+        # (D/p) = -1 means a linear times an irreducible quadratic factor,
+        # so x^p mod F is computed only where (D/p) = 1 (p >= 50)
+        from divlab.sieve import build_PF
+
+        F = IntPoly.of([-1, -1, 0, 1])
+        powered = []
+
+        def recorded(a, e, mod, p):
+            powered.append(p)
+            return _ppowmod(a, e, mod, p)
+
+        monkeypatch.setattr(factorization, "_ppowmod", recorded)
+        build_PF(F, 20000)
+        assert powered == [p for p in range(50, 20001)
+                           if is_prime(p) and sympy.jacobi_symbol(-23 % p, p) == 1]
+
+
+class TestPowMod:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.sampled_from(PRIMES_TO_10K),
+        st.lists(st.integers(0, 10**4), min_size=2, max_size=10),
+        st.lists(st.integers(0, 10**4), max_size=20),
+        st.one_of(st.sampled_from([0, 1]), st.integers(2, 10**40)),
+    )
+    def test_agrees_with_sympy(self, p, mod, a, e):
+        # moduli of degree 1..9, monic or not; sympy lists coefficients
+        # from the top down
+        mod = [c % p for c in mod]
+        assume(mod[-1] != 0)
+        a = [c % p for c in a]
+        expected = gf_pow_mod(gf_strip(a[::-1]), e, mod[::-1], p, ZZ)
+        assert _ppowmod(a, e, mod, p) == [int(c) for c in reversed(expected)]
 
 
 class TestFactorModP:

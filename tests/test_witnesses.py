@@ -145,8 +145,9 @@ class TestPrimitiveWitness:
         assert (rec.primes, rec.n_m, rec.shift_l) == ((), 1, 0)
 
     def test_inconsistent_element_rejected(self):
+        # the last two are increasing with product m, but hold a composite
         for bad in (MFElement(65, (13, 5)), MFElement(66, (5, 13)), MFElement(25, (5, 5)),
-                    MFElement(65, (1, 65))):
+                    MFElement(65, (1, 65)), MFElement(65, (65,)), MFElement(1105, (5, 221))):
             with pytest.raises(PreconditionError):
                 witnesses_for_MF(T2P1, [bad])
 
