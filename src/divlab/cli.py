@@ -15,7 +15,7 @@ import sys
 import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from .algebra import (
     AlgebraError,
@@ -203,7 +203,7 @@ def _params(cfg: RunConfig, F: IntPoly, sieve: ChebotarevSieve) -> DiversityPara
     )
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: str, header: list[str], rows: Iterable[Sequence]) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
@@ -278,11 +278,7 @@ def cmd_witness(cfg: RunConfig) -> int:
     _write_csv(path, ["m", "factorization", "n_m", "shift_l", "greedy"], rows)
     cliques = find_cliques(mf)
     cpath = os.path.join(cfg.out, "cliques.csv")
-    _write_csv(
-        cpath,
-        ["P", "m1", "m2", "m3", "type"],
-        [[c.P, c.m1, c.m2, c.m3, c.kind] for c in cliques],
-    )
+    _write_csv(cpath, ["P", "m1", "m2", "m3", "type"], cliques)
     print(f"mode = {params.mode}")
     print(f"|M_F(x)| = {len(mf)} -> {path}")
     print(f"greedy = {stats.greedy}, generous = {stats.generous}")

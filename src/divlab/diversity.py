@@ -39,7 +39,8 @@ def is_fiber_irreducible(cover: CurveCover, n: int) -> Optional[bool]:
     discriminant is not a perfect square; degree 3 is irreducible if it
     has no root mod some good prime p (p prime, p not dividing lc * disc,
     the first 10 such p tried); degree >= 4 is irreducible if it is
-    irreducible mod some good prime (Rabin's test); when no good prime
+    irreducible mod some good prime (Rabin's test, run only at p = 2 and
+    at odd p with (disc/p) = (-1)^(deg-1)); when no good prime
     certifies a cubic or higher fiber, the full factorization over Z
     decides.  None is reserved for budget-limited unknowns."""
     return _analyze_fiber(cover, n).irreducible
@@ -62,7 +63,11 @@ def _irreducible(f: IntPoly, disc: int) -> bool:
                 # squarefree of full degree mod p: irreducible iff no root
                 certified = not has_root_mod_p(f, p)
             else:
-                certified = is_irreducible_mod_p(f, p)
+                # Stickelberger: (disc/p) = (-1)^(n-r) at odd p, so p can
+                # certify (r = 1) only where (disc/p) = (-1)^(n-1)
+                symbol = 1 if f.degree % 2 else p - 1
+                can_certify = p == 2 or pow(disc, (p - 1) // 2, p) == symbol
+                certified = can_certify and is_irreducible_mod_p(f, p)
             if certified:
                 return True
         p += 1

@@ -6,6 +6,7 @@ squarefree set used by the diversity experiments.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ def prime_sieve(limit: int) -> list[int]:
     for i in range(2, math.isqrt(root) + 1):
         if base[i]:
             base[i * i :: i] = bytearray(len(base[i * i :: i]))
-    small = [i for i in range(2, root + 1) if base[i]]
+    small = list(itertools.compress(range(root + 1), base))
     primes = list(small)
     seg_len = max(root, 1 << 16)
     lo = root + 1
@@ -34,11 +35,11 @@ def prime_sieve(limit: int) -> list[int]:
         hi = min(lo + seg_len - 1, limit)
         seg = bytearray([1]) * (hi - lo + 1)
         for p in small:
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start > hi:
+            if p * p > hi:
                 break
+            start = max(p * p, ((lo + p - 1) // p) * p)
             seg[start - lo :: p] = bytearray(len(seg[start - lo :: p]))
-        primes.extend(lo + i for i, flag in enumerate(seg) if flag)
+        primes.extend(itertools.compress(range(lo, hi + 1), seg))
         lo = hi + 1
     return primes
 

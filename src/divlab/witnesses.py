@@ -11,7 +11,7 @@ import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .algebra import IntPoly, poly_discriminant
 from .factorization import factor_integer, is_prime, roots_mod_p
@@ -443,45 +443,46 @@ def heavy_n_scan(
     )
 
 
-@dataclass(frozen=True)
-class CliqueRecord:
+class CliqueRecord(NamedTuple):
     """Three distinct cofactors sharing one large prime, all of whose
-    products lie in the set."""
+    products lie in the set.  A record is its `cliques.csv` row:
+    (P, m1, m2, m3, type)."""
 
     P: int
     m1: int
     m2: int
     m3: int
     kind: str  # "proper-lcm" (some pairwise lcm is proper) | "equal-lcm"
-    relations_hold: bool  # pairwise 2:1 size ratio and gcd < m < lcm
+
+    @property
+    def relations_hold(self) -> bool:
+        """Pairwise 2:1 size ratio and gcd < m < lcm, computed on access."""
+        return _clique_relations_hold((self.m1, self.m2, self.m3))
 
 
 def find_cliques(mf: Sequence[MFElement]) -> tuple[CliqueRecord, ...]:
     """Group the set by largest prime and emit every triple of distinct
-    cofactors sharing a P.  The pairwise size-ratio and gcd/lcm relations
-    hold automatically for half-windows and are recorded per record; wide
-    override windows can break them."""
-    by_P: dict[int, list[int]] = defaultdict(list)
+    cofactors sharing a P, in P order and then in `itertools.combinations`
+    order over the sorted cofactors; each record is a `cliques.csv` row.
+    A trio is "equal-lcm" when its three pairwise lcms agree (their common
+    value is then the lcm of all three).  The pairwise size-ratio and
+    gcd/lcm relations hold automatically for half-windows and are computed
+    when `relations_hold` is read; wide override windows can break them."""
+    by_P: dict[int, set[int]] = defaultdict(set)
     for e in mf:
-        by_P[e.P].append(e.m1)
+        by_P[e.P].add(e.m1)
     cliques = []
-    for P, cofs in sorted(by_P.items()):
-        for trio in itertools.combinations(sorted(set(cofs)), 3):
-            lcm3 = math.lcm(*trio)
-            pairwise = [math.lcm(a, b) for a, b in itertools.combinations(trio, 2)]
-            kind = "equal-lcm" if all(l == lcm3 for l in pairwise) else "proper-lcm"
-            cliques.append(
-                CliqueRecord(
-                    P=P,
-                    m1=trio[0],
-                    m2=trio[1],
-                    m3=trio[2],
-                    kind=kind,
-                    relations_hold=_clique_relations_hold(trio),
-                )
-            )
+    for P, group in sorted(by_P.items()):
+        cofs = sorted(group)
+        # lcms[i][j - i - 1] = lcm(cofs[i], cofs[j]) for i < j
+        lcms = [[math.lcm(a, b) for b in cofs[i + 1 :]] for i, a in enumerate(cofs)]
+        for i, a in enumerate(cofs):
+            for j in range(i + 1, len(cofs)):
+                b, ab = cofs[j], lcms[i][j - i - 1]
+                for c, ac, bc in zip(cofs[j + 1 :], lcms[i][j - i :], lcms[j]):
+                    kind = "equal-lcm" if ab == ac == bc else "proper-lcm"
+                    cliques.append(CliqueRecord(P, a, b, c, kind))
     return tuple(cliques)
-
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 import csv
+import hashlib
 import os
 
 import pytest
 
 from divlab.cli import ConfigError, RunConfig, load_config, main, merge_flags
+from divlab.sieve import MFElement
+from divlab.witnesses import find_cliques
 
 
 def run(capsys, *argv):
@@ -96,6 +99,35 @@ class TestWitnessCommand:
             ["65", "5*13", "8", "0", "greedy"],
             ["85", "5*17", "13", "0", "greedy"],
         ]
+
+    def test_outputs_are_pinned_and_cliques_are_find_cliques_rows(self, tmp_path, capsys):
+        args = (
+            "--cover", "u^2 + t^2 + 1", "--x", "60000", "--mode", "override",
+            "--k", "2", "--y", "5", "--window-lo", "3000", "--window-hi", "15000",
+            "--tail", "off",
+        )
+        code, out, _ = run(capsys, "witness", *args, "--out", str(tmp_path / "w"))
+        assert code == 0 and "cliques = 61 " in out
+
+        def sha256(name):
+            return hashlib.sha256((tmp_path / "w" / name).read_bytes()).hexdigest()
+
+        assert sha256("cliques.csv") == (
+            "193e1bae19adb95f57bf848e680bead582813b73b7850861e63da85322083007"
+        )
+        assert sha256("witnesses.csv") == (
+            "09437137821592e4b36a228c772be253093ba81daab53ef2b644cf4c24d9f8d1"
+        )
+        assert run(capsys, "sieve", *args, "--out", str(tmp_path / "s"))[0] == 0
+        mf = [
+            MFElement(int(m), tuple(int(p) for p in fact.split("*")))
+            for m, fact, _, _ in read_csv(tmp_path / "s" / "mf.csv")[1:]
+        ]
+        rows = read_csv(tmp_path / "w" / "cliques.csv")
+        assert rows[0] == ["P", "m1", "m2", "m3", "type"]
+        assert [(int(P), int(a), int(b), int(c), kind) for P, a, b, c, kind in rows[1:]] == list(
+            find_cliques(mf)
+        )
 
     def test_window_past_x_over_k_plus_two_is_config_error(self, tmp_path, capsys):
         code, _, err = run(

@@ -5,7 +5,7 @@ import pytest
 import sympy
 
 from conftest import squarefree_kernel_table
-from divlab.algebra import AlgebraError, IntPoly, parse_cover
+from divlab.algebra import AlgebraError, IntPoly, parse_cover, poly_discriminant
 from divlab.diversity import (
     CensusConfig,
     DegenerateFiberError,
@@ -16,6 +16,7 @@ from divlab.diversity import (
     is_fiber_irreducible,
     run_census,
 )
+from divlab.factorization import is_irreducible_mod_p
 
 SQRT_COVER = parse_cover("u^2 - t")
 CUBIC_BASE = parse_cover("u^2 - t^3 + 3*t^2 - 2*t")
@@ -89,6 +90,49 @@ class TestFiberPipeline:
         census = run_census(parse_cover("u^3 - t*u - t"), 200, CensusConfig(eta=0.001))
         assert len(census.per_n) == 200 and census.skipped == ()
         assert calls == {"fiber_poly": 200, "poly_discriminant": 200}
+
+    # degree >= 4 fibers: Rabin's test runs only at primes that can certify
+    HIGH_DEGREE = ("2*u^4 - t^2*u + 3", "u^5 - t*u - 1", "u^6 + t*u^2 - 3")
+
+    @staticmethod
+    def can_certify(f, disc, p):
+        """Stickelberger: irreducible mod an odd good p forces
+        (disc/p) = (-1)^(deg - 1)."""
+        return pow(disc % p, (p - 1) // 2, p) == (1 if f.degree % 2 else p - 1)
+
+    def test_rabin_skips_primes_with_the_wrong_discriminant_symbol(self, monkeypatch):
+        import divlab.diversity as diversity
+
+        tried = []
+
+        def counted(f, p):
+            tried.append((f, p))
+            return is_irreducible_mod_p(f, p)
+
+        monkeypatch.setattr(diversity, "is_irreducible_mod_p", counted)
+        for text in self.HIGH_DEGREE:
+            cover = parse_cover(text)
+            for n in range(1, 101):
+                poly = sympy.Poly(list(reversed(fiber_poly(cover, n).coeffs)), u)
+                factors = poly.factor_list()[1]
+                want = len(factors) == 1 and factors[0][1] == 1
+                assert is_fiber_irreducible(cover, n) is want
+        assert tried
+        for f, p in tried:
+            assert p == 2 or self.can_certify(f, poly_discriminant(f), p)
+
+    def test_skipped_primes_never_certify(self):
+        skipped = 0
+        for text in self.HIGH_DEGREE:
+            cover = parse_cover(text)
+            for n in range(1, 41):
+                f = fiber_poly(cover, n)
+                disc = poly_discriminant(f)
+                for p in sympy.primerange(3, 80):
+                    if f.lc % p and disc % p and not self.can_certify(f, disc, p):
+                        skipped += 1
+                        assert not is_irreducible_mod_p(f, p)
+        assert skipped > 1000
 
 
 class TestFingerprint:

@@ -1,9 +1,13 @@
+import bisect
+import functools
 import math
 import warnings
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import brute_force_MF
 from divlab.algebra import AlgebraError, IntPoly
@@ -22,6 +26,11 @@ T = IntPoly.of([0, 1])
 T2P1 = IntPoly.of([1, 0, 1])
 
 
+@functools.lru_cache(maxsize=1)
+def sympy_primes_to_300k():
+    return list(sympy.primerange(2, 3 * 10**5 + 1))
+
+
 class TestPrimeSieve:
     def test_tiny(self):
         assert prime_sieve(10) == [2, 3, 5, 7]
@@ -33,6 +42,31 @@ class TestPrimeSieve:
 
     def test_against_sympy(self):
         assert prime_sieve(10**5) == list(sympy.primerange(2, 10**5 + 1))
+
+    @staticmethod
+    def segment_end(j):
+        """The limit L at which the sieve's j-th segment ends exactly:
+        segments start at isqrt(L) + 1 and span 2^16 while isqrt(L) <= 2^16."""
+        limit = j << 16
+        for _ in range(4):
+            limit = (j << 16) + math.isqrt(limit)
+        assert limit == (j << 16) + math.isqrt(limit)
+        return limit
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            st.integers(2, 3 * 10**5),
+            st.tuples(st.integers(1, 4), st.integers(-2, 2)),
+        )
+    )
+    @example((1, 0))
+    @example((1, 1))  # a one-number last segment, 65793 = 3 * 21931
+    @example((4, 1))
+    def test_against_sympy_around_segment_ends(self, draw):
+        limit = self.segment_end(draw[0]) + draw[1] if isinstance(draw, tuple) else draw
+        reference = sympy_primes_to_300k()
+        assert prime_sieve(limit) == reference[: bisect.bisect_right(reference, limit)]
 
     def test_bad_limit(self):
         with pytest.raises(ValueError):

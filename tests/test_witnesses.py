@@ -1,12 +1,16 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from divlab.algebra import IntPoly
 from divlab.sieve import DiversityParams, MFElement, build_PF, enumerate_MF
 from divlab.witnesses import (
+    _clique_relations_hold,
     LemmaViolation,
     NoRootError,
     PreconditionError,
@@ -360,6 +364,40 @@ class TestCliques:
                 v <= 2 * u and u <= 2 * v and math.gcd(u, v) < u < math.lcm(u, v)
                 for u, v in ((a, b), (a, c), (b, c))
             )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            # a few shared P values; cofactors repeat and need be neither
+            # squarefree nor coprime
+            st.tuples(
+                st.sampled_from((101, 103, 107)),
+                st.one_of(
+                    st.integers(1, 120),
+                    # divisors of one number make lcm coincidences common
+                    st.sampled_from([d for d in range(1, 3961) if 3960 % d == 0]),
+                ),
+            ),
+            max_size=40,
+        )
+    )
+    @example([(101, 6), (101, 10), (101, 15), (101, 30), (101, 6),
+              (103, 12), (103, 18), (103, 36), (103, 4), (103, 1),
+              (107, 40), (107, 44), (107, 55), (107, 3), (107, 6)])
+    def test_agrees_with_brute_force(self, pairs):
+        mf = [MFElement(c * P, (c, P)) for P, c in pairs]
+        want = []
+        for P in sorted({P for P, _ in pairs}):
+            cofs = sorted({c for Q, c in pairs if Q == P})
+            for trio in itertools.combinations(cofs, 3):
+                lcm3 = math.lcm(*trio)
+                equal = all(math.lcm(a, b) == lcm3 for a, b in itertools.combinations(trio, 2))
+                want.append((P, *trio, "equal-lcm" if equal else "proper-lcm"))
+        got = find_cliques(mf)
+        assert isinstance(got, tuple)
+        assert got == tuple(want)
+        for rec in got:
+            assert rec.relations_hold == _clique_relations_hold((rec.m1, rec.m2, rec.m3))
 
 
 class TestSuites:
