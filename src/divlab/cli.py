@@ -191,7 +191,7 @@ def _params(cfg: RunConfig, F: IntPoly, sieve: ChebotarevSieve) -> DiversityPara
     if cfg.mode == "paper":
         return DiversityParams.paper(
             x=cfg.x, delta=delta, d=d, epsilon=cfg.epsilon,
-            tail_exponent=cfg.tail if cfg.tail is not None else Fraction(9, 10),
+            tail_exponent=cfg.tail,
         )
     _require(cfg, "k", "y", "window_lo", "window_hi")
     return DiversityParams.override(

@@ -6,6 +6,7 @@ N/(log N)^(1-eta) benchmark.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -39,10 +40,10 @@ def is_fiber_irreducible(cover: CurveCover, n: int) -> Optional[bool]:
     discriminant is not a perfect square; degree 3 is irreducible if it
     has no root mod some good prime p (p prime, p not dividing lc * disc,
     the first 10 such p tried); degree >= 4 is irreducible if it is
-    irreducible mod some good prime (Rabin's test, run only at p = 2 and
-    at odd p with (disc/p) = (-1)^(deg-1)); when no good prime
-    certifies a cubic or higher fiber, the full factorization over Z
-    decides.  None is reserved for budget-limited unknowns."""
+    irreducible mod some good prime (Ben-Or's distinct-degree test, run
+    only at p = 2 and at odd p with (disc/p) = (-1)^(deg-1)); when no
+    good prime certifies a cubic or higher fiber, the full factorization
+    over Z decides.  None is reserved for budget-limited unknowns."""
     return _analyze_fiber(cover, n).irreducible
 
 
@@ -85,20 +86,18 @@ class FieldFingerprint:
     odd_valuation_primes: tuple[int, ...]
     complete: bool
 
-    def definitely_differs(self, other: "FieldFingerprint") -> bool:
-        """True when the two fingerprints are distinguishable on their
-        known primes alone."""
-        if self.complete and other.complete:
-            return self.odd_valuation_primes != other.odd_valuation_primes
-        mine, theirs = set(self.odd_valuation_primes), set(other.odd_valuation_primes)
-        return bool(mine ^ theirs)
-
     def render(self) -> str:
         body = ";".join(str(p) for p in self.odd_valuation_primes)
         return body + ("" if self.complete else "?")
 
 
-def fingerprint(fpoly: IntPoly, trial_bound: int = 10_000, effort: int = 1_000_000) -> FieldFingerprint:
+# trial-division bound for fiber discriminants, and the sieve limit that
+# measures delta when the census derives eta
+_TRIAL_BOUND = 10_000
+_DELTA_SIEVE_LIMIT = 10_000
+
+
+def fingerprint(fpoly: IntPoly, trial_bound: int = _TRIAL_BOUND, effort: int = 1_000_000) -> FieldFingerprint:
     """Odd-valuation primes of disc(fpoly).  An unfactored cofactor that
     is a perfect square cannot change any parity; otherwise the
     fingerprint is marked incomplete."""
@@ -172,11 +171,9 @@ class DiversityCensus:
 
 @dataclass(frozen=True)
 class CensusConfig:
-    trial_bound: int = 10_000
     effort: int = 1_000_000
     eta: Optional[float] = None  # computed from (d, delta) when absent
     delta: Optional[float] = None  # defaults to the measured density
-    delta_sieve_limit: int = 10_000
     workers: int = 1
     mode: str = "paper"
 
@@ -191,7 +188,7 @@ def _analyze_fiber(cover: CurveCover, n: int, config: Optional[CensusConfig] = N
     irr = _irreducible(f, disc)
     fp = None
     if irr and config is not None:
-        fp = _fingerprint(disc, config.trial_bound, config.effort)
+        fp = _fingerprint(disc, _TRIAL_BOUND, config.effort)
     return CensusRow(n=n, fiber_degree=f.degree, irreducible=irr, fingerprint=fp, new_field=False)
 
 
@@ -209,17 +206,12 @@ def _census_rows(cover: CurveCover, ns: range, config: Optional[CensusConfig]) -
     return rows
 
 
-def _census_shard(args) -> list[CensusRow]:
-    cover_coeffs, ns, config = args
-    cover = CurveCover(tuple(IntPoly(c) for c in cover_coeffs))
-    return _census_rows(cover, ns, config)
-
-
 def run_census(cover: CurveCover, N: int, config: CensusConfig = CensusConfig()) -> DiversityCensus:
     """Walk n = 1..N: specialize, test irreducibility, fingerprint the
-    irreducible fibers, and count distinct fingerprints conservatively
-    (a partial fingerprint counts only when it differs on known primes
-    from everything already counted)."""
+    irreducible fibers, and count distinct fingerprints conservatively:
+    a complete fingerprint counts when no complete one before it has its
+    primes, a partial one only when no fingerprint before it, complete or
+    partial, has its known primes."""
     if N < 10:
         raise ValueError("census needs N >= 10")
     workers = max(1, config.workers)
@@ -230,17 +222,14 @@ def run_census(cover: CurveCover, N: int, config: CensusConfig = CensusConfig())
 
         # per-fiber cost grows with n: small chunks pulled by whichever
         # worker is free keep the workers evenly loaded
-        coeffs = tuple(f.coeffs for f in cover.coeffs_u)
-        shards = [
-            (coeffs, range(lo, min(lo + _CENSUS_CHUNK, N + 1)), config)
-            for lo in range(1, N + 1, _CENSUS_CHUNK)
-        ]
+        chunks = [range(lo, min(lo + _CENSUS_CHUNK, N + 1)) for lo in range(1, N + 1, _CENSUS_CHUNK)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = [r for shard in pool.map(_census_shard, shards) for r in shard]
+            shards = pool.map(_census_rows, itertools.repeat(cover), chunks, itertools.repeat(config))
+            rows = [r for shard in shards for r in shard]
     rows.sort(key=lambda r: r.n)
 
     complete_seen: set[tuple[int, ...]] = set()
-    partial_seen: list[FieldFingerprint] = []
+    partial_seen: set[tuple[int, ...]] = set()
     final: list[CensusRow] = []
     distinct = 0
     reducible = 0
@@ -256,17 +245,13 @@ def run_census(cover: CurveCover, N: int, config: CensusConfig = CensusConfig())
             continue
         fp = row.fingerprint
         assert fp is not None
+        primes = fp.odd_valuation_primes
         if fp.complete:
-            new = fp.odd_valuation_primes not in complete_seen
-            if new:
-                complete_seen.add(fp.odd_valuation_primes)
+            new = primes not in complete_seen
+            complete_seen.add(primes)
         else:
-            known = [
-                FieldFingerprint(t, True) for t in complete_seen
-            ] + partial_seen
-            new = all(fp.definitely_differs(other) for other in known)
-            if new:
-                partial_seen.append(fp)
+            new = primes not in complete_seen and primes not in partial_seen
+            partial_seen.add(primes)
         if new:
             distinct += 1
         final.append(CensusRow(row.n, row.fiber_degree, True, fp, new))
@@ -279,7 +264,7 @@ def run_census(cover: CurveCover, N: int, config: CensusConfig = CensusConfig())
         F = critical_polynomial(cover)
         delta = config.delta
         if delta is None:
-            delta = float(build_PF(F, config.delta_sieve_limit).delta_hat)
+            delta = float(build_PF(F, _DELTA_SIEVE_LIMIT).delta_hat)
         eta = eta_exponent(F.degree, delta).eta
     return DiversityCensus(
         N=N,

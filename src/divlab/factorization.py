@@ -13,6 +13,7 @@ import functools
 import math
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 from .algebra import AlgebraError, IntPoly, poly_gcd
 
@@ -160,8 +161,7 @@ def roots_mod_p(f: IntPoly, p: int) -> list[int]:
         return []
     if p < 50:
         return [r for r in range(p) if _eval_mod(a, r, p) == 0]
-    xp = _ppowmod([0, 1], p, a, p)
-    g = _pgcd(a, _psub(xp, [0, 1], p), p)
+    g = _linear_part(a, p)
     if len(g) <= 1:
         return []
     return sorted(-h[0] % p for h in _equal_degree_split(g, 1, p, random.Random(0x5EED ^ p)))
@@ -191,8 +191,13 @@ def has_root_mod_p(f: IntPoly, p: int) -> bool:
             return True
     if p < 50:
         return any(_eval_mod(a, r, p) == 0 for r in range(p))
-    xp = _ppowmod([0, 1], p, a, p)
-    return len(_pgcd(a, _psub(xp, [0, 1], p), p)) > 1
+    return len(_linear_part(a, p)) > 1
+
+
+def _linear_part(a: list[int], p: int) -> list[int]:
+    """gcd(a, x^p - x) mod p: the product of the distinct x - r with
+    a(r) = 0 mod p."""
+    return _pgcd(a, _psub(_ppowmod([0, 1], p, a, p), [0, 1], p), p)
 
 
 def _psub(a: list[int], b: list[int], p: int) -> list[int]:
@@ -222,9 +227,10 @@ def factor_mod_p(f: IntPoly, p: int) -> ModPolyFactorization:
     rng = random.Random(0xFAC7 ^ p)
     found: dict[tuple[int, ...], int] = {}
     for part, mult in _squarefree_mod_p(monic, p):
-        for irr in _factor_squarefree_mod_p(part, p, rng):
-            key = tuple(irr)
-            found[key] = found.get(key, 0) + mult
+        for g, d in _distinct_degree(part, p):
+            for irr in _equal_degree_split(g, d, p, rng):
+                key = tuple(irr)
+                found[key] = found.get(key, 0) + mult
     factors = tuple(sorted(found.items(), key=lambda kv: (len(kv[0]), kv[0])))
     return ModPolyFactorization(p=p, unit=unit, factors=factors)
 
@@ -261,27 +267,26 @@ def _squarefree_mod_p(f: list[int], p: int) -> list[tuple[list[int], int]]:
     return out
 
 
-def _factor_squarefree_mod_p(f: list[int], p: int, rng: random.Random) -> list[list[int]]:
-    """Factor a monic squarefree polynomial mod p into monic irreducibles."""
-    out: list[list[int]] = []
-    # distinct-degree
+def _distinct_degree(f: list[int], p: int) -> Iterator[tuple[list[int], int]]:
+    """Distinct-degree factorization of a squarefree f of degree >= 1 mod p:
+    yield (g_d, d) in increasing d for each d with g_d != 1, where g_d is
+    the product of the monic irreducible factors of degree d (the last
+    stage carries lc(f)).  Lazy, so a caller may stop after any stage;
+    stage d costs one Frobenius step x^(p^d) = (x^(p^(d-1)))^p, and the
+    steps stop once what is left has degree below 2(d + 1)."""
     xq = [0, 1]
-    rest = list(f)
+    rest = f
     d = 0
-    stages: list[tuple[list[int], int]] = []
-    while len(rest) - 1 > 2 * (d + 1) - 1 and len(rest) > 1:
+    while len(rest) - 1 >= 2 * (d + 1):
         d += 1
         xq = _ppowmod(xq, p, rest, p)
         g = _pgcd(rest, _psub(xq, [0, 1], p), p)
         if len(g) > 1:
-            stages.append((g, d))
+            yield g, d
             rest, _ = _pdivmod(rest, g, p)
             xq = _pmod(xq, rest, p)
     if len(rest) > 1:
-        stages.append((rest, len(rest) - 1))
-    for g, deg in stages:
-        out.extend(_equal_degree_split(g, deg, p, rng))
-    return out
+        yield rest, len(rest) - 1
 
 
 def _equal_degree_split(f: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
@@ -316,42 +321,17 @@ def _padd(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def is_irreducible_mod_p(f: IntPoly, p: int) -> bool:
-    """True iff f mod p is irreducible of full degree (no drop, squarefree)."""
+    """True iff f mod p is irreducible of full degree (no drop, squarefree).
+    Ben-Or's test: the first distinct-degree stage of f is all of f."""
     a = _reduce_mod_p(f, p)
-    if len(a) != len(f.coeffs) or len(a) <= 1:
+    if len(a) != len(f.coeffs) or len(a) <= 1 or not _is_squarefree_mod_p(a, p):
         return False
-    n = len(a) - 1
-    if n == 1:
-        return True
+    return next(_distinct_degree(a, p))[1] == len(a) - 1
+
+
+def _is_squarefree_mod_p(a: list[int], p: int) -> bool:
     df = _pderiv(a, p)
-    if not df or len(_pgcd(a, df, p)) > 1:
-        return False
-    # Rabin: x^(p^n) = x mod f, and gcd(x^(p^(n/q)) - x, f) = 1 for q | n
-    xq = [0, 1]
-    powers = {}
-    for i in range(1, n + 1):
-        xq = _ppowmod(xq, p, a, p)
-        powers[i] = xq
-    if _psub(powers[n], [0, 1], p):
-        return False
-    for q in _prime_divisors_small(n):
-        if len(_pgcd(a, _psub(powers[n // q], [0, 1], p), p)) != 1:
-            return False
-    return True
-
-
-def _prime_divisors_small(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    return bool(df) and len(_pgcd(a, df, p)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -421,11 +401,8 @@ def _good_prime(f: IntPoly) -> int:
     """Smallest prime p >= 3 with p coprime to lc(f) and f squarefree mod p."""
     p = 3
     while True:
-        if is_prime(p) and f.lc % p != 0:
-            a = _reduce_mod_p(f, p)
-            df = _pderiv(a, p)
-            if df and len(_pgcd(a, df, p)) == 1:
-                return p
+        if is_prime(p) and f.lc % p != 0 and _is_squarefree_mod_p(_reduce_mod_p(f, p), p):
+            return p
         p += 2
 
 

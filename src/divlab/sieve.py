@@ -107,8 +107,9 @@ class DiversityParams:
 
     In paper mode everything is derived from (x, epsilon, delta):
     kappa = log log x, k = floor(eps*delta*kappa) + 1, y = exp((log x)^(1-eps)),
-    window [x/(2 kappa), x/kappa], tail cutoff x^(9/10).  Override mode sets
-    k, y, the window and the tail directly and is stamped on all outputs.
+    window [x/(2 kappa), x/kappa], tail cutoff x^(9/10) unless switched off.
+    Override mode sets k, y, the window and the tail directly and is stamped
+    on all outputs.
     """
 
     x: float
@@ -148,7 +149,7 @@ class DiversityParams:
         delta: float,
         d: int,
         epsilon: Optional[float] = None,
-        tail_exponent: Fraction = Fraction(9, 10),
+        tail_exponent: Optional[Fraction] = Fraction(9, 10),
     ) -> "DiversityParams":
         if epsilon is None:
             epsilon = default_epsilon(d)

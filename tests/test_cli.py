@@ -174,6 +174,16 @@ class TestSieveCommand:
         assert code == 0
         assert len(read_csv(tmp_path / "mf.csv")) > 1
 
+    def test_paper_mode_honours_tail_off(self, tmp_path, capsys):
+        # from a flag and from a config file alike
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tail = off\n")
+        args = ("sieve", "--cover", "u^2 + t^2 + 1", "--x", "1000000", "--epsilon", "0.5")
+        for extra in (("--tail", "off"), ("--config", str(cfg))):
+            code, out, _ = run(capsys, *args, *extra, "--out", str(tmp_path))
+            assert code == 0
+            assert "tail = None" in out and "|M_F(x)| = 2659 " in out
+
 
 class TestDiversityCommand:
     def test_summary_block(self, tmp_path, capsys):

@@ -91,7 +91,8 @@ class TestFiberPipeline:
         assert len(census.per_n) == 200 and census.skipped == ()
         assert calls == {"fiber_poly": 200, "poly_discriminant": 200}
 
-    # degree >= 4 fibers: Rabin's test runs only at primes that can certify
+    # degree >= 4 fibers: the distinct-degree irreducibility test runs only
+    # at primes that can certify
     HIGH_DEGREE = ("2*u^4 - t^2*u + 3", "u^5 - t*u - 1", "u^6 + t*u^2 - 3")
 
     @staticmethod
@@ -248,6 +249,37 @@ class TestCensus:
                     for w in (1, 2, 3)]
             assert runs[0].per_n == runs[1].per_n == runs[2].per_n
             assert len({r.distinct_lower_bound for r in runs}) == 1
+
+    @staticmethod
+    def known_prime_flags(rows):
+        """new_field by the pairwise rule: two complete fingerprints differ
+        when their primes differ, any other pair when some prime lies in
+        one and not the other.  A complete fingerprint is new when it
+        differs from every complete one counted before it, a partial one
+        when it differs from every one counted before it."""
+        counted, flags = [], []
+        for row in rows:
+            fp = row.fingerprint
+            new = fp is not None and all(
+                fp.odd_valuation_primes != other.odd_valuation_primes
+                if fp.complete and other.complete
+                else set(fp.odd_valuation_primes) != set(other.odd_valuation_primes)
+                for other in counted
+                if other.complete or not fp.complete
+            )
+            if new:
+                counted.append(fp)
+            flags.append(new)
+        return flags
+
+    def test_partial_fingerprints_follow_the_known_prime_rule(self):
+        # a rho budget of 200 leaves about a third of these fingerprints partial
+        census = run_census(parse_cover("2*u^4 - t^2*u + 3"), 300, CensusConfig(effort=200, eta=0.01))
+        partial = [r for r in census.per_n if r.fingerprint is not None and not r.fingerprint.complete]
+        assert len(partial) == 104
+        flags = self.known_prime_flags(census.per_n)
+        assert [r.new_field for r in census.per_n] == flags
+        assert census.distinct_lower_bound == sum(flags) == 247
 
     def test_degenerate_fibers_skipped_not_fatal(self):
         census = run_census(parse_cover("t*u^2 - u - 1"), 50)

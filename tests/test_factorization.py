@@ -181,6 +181,52 @@ class TestFactorModP:
                 assert is_irreducible_mod_p(IntPoly.of(g), p)
 
 
+def irreducible_per_sympy(f, p):
+    return sympy.Poly(list(reversed(f.coeffs)), x, modulus=p).is_irreducible
+
+
+class TestIrreducibleModP:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.one_of(st.sampled_from([2, 3]), st.sampled_from(PRIMES_TO_10K)),
+        st.lists(st.integers(-10**4, 10**4), min_size=2, max_size=10),
+        st.integers(-10**4, 10**4),
+        st.sampled_from(["plain", "square", "drop"]),
+    )
+    def test_agrees_with_sympy(self, p, coeffs, c, shape):
+        # "square" multiplies in a repeated linear factor; "drop" makes the
+        # leading coefficient vanish mod p.  Both must answer False.
+        f = IntPoly.of(coeffs)
+        if shape == "square":
+            f = IntPoly.of(coeffs[:8]) * IntPoly.of([c, 1]) * IntPoly.of([c, 1])
+        elif shape == "drop":
+            f = IntPoly.of(coeffs[:-1] + [p * (c or 1)])
+        assume(1 <= f.degree <= 9)
+        ours = is_irreducible_mod_p(f, p)
+        assert ours == (f.lc % p != 0 and irreducible_per_sympy(f, p))
+        if shape != "plain":
+            assert not ours
+
+    @pytest.mark.parametrize("coeffs,p", [
+        ((1, 1, 0, 0, 1), 2), ((1, 1, 0, 0, 1), 59), ((3, -2, 0, 0, 1), 53),
+        ((1, 0, 1, 0, 0, 1), 2), ((-1, -1, 0, 0, 0, 1), 79), ((2, 0, 1, 0, 0, 1), 67),
+    ])
+    def test_irreducible_input_takes_half_its_degree_in_powers(self, monkeypatch, coeffs, p):
+        # no irreducible factor of degree <= n/2 means irreducible, so at
+        # most floor(n/2) Frobenius powers x^(p^d) are computed
+        f = IntPoly.of(list(coeffs))
+        assert irreducible_per_sympy(f, p)
+        powered = []
+
+        def recorded(a, e, mod, q):
+            powered.append(q)
+            return _ppowmod(a, e, mod, q)
+
+        monkeypatch.setattr(factorization, "_ppowmod", recorded)
+        assert is_irreducible_mod_p(f, p)
+        assert 0 < len(powered) <= f.degree // 2
+
+
 class TestFactorOverZ:
     def test_quartic_minus_one(self):
         content, factors = factor_over_Z(IntPoly.of([-1, 0, 0, 0, 1]))
