@@ -168,12 +168,14 @@ def roots_mod_p(f: IntPoly, p: int) -> list[int]:
 
 
 def has_root_mod_p(f: IntPoly, p: int) -> bool:
-    """Does f have a root mod p?  Cheaper than roots_mod_p: quadratics by
-    Euler's criterion on the discriminant; cubics whose discriminant is a
-    non-residue by Stickelberger's theorem, (D/p) = (-1)^(n - r) for r
-    irreducible factors mod p, so r = 2 and the factor degrees are 1 + 2;
-    small p by evaluation; otherwise gcd(f, x^p - x) without splitting
-    it."""
+    """Does f have a root mod p?  Cheaper than roots_mod_p:
+    - degree 1: yes; degree 2, p odd: Euler's criterion on disc(f);
+    - degree 3, p > 3, D = disc(f): D = 0 mod p is a repeated root, which
+      is rational; (D/p) = -1 is a linear times an irreducible quadratic
+      (Stickelberger); (D/p) = 1 is three roots or none, and Cardano's
+      criterion tells which: they are rational iff the radicand u^3 is a
+      cube in F_p[sqrt(delta)];
+    - other p < 50: evaluation; else gcd(f, x^p - x), without splitting."""
     a = _reduce_mod_p(f, p)
     if len(a) <= 1:
         # constant (content stripped upstream): no root unless zero
@@ -183,12 +185,27 @@ def has_root_mod_p(f: IntPoly, p: int) -> bool:
     if len(a) == 3 and p > 2:
         disc = (a[1] * a[1] - 4 * a[2] * a[0]) % p
         return disc == 0 or pow(disc, (p - 1) // 2, p) == 1
-    if len(a) == 4 and p > 2:
+    if len(a) == 4 and p > 3:
         a0, a1, a2, a3 = a
-        disc = (a2 * a2 * a1 * a1 - 4 * a3 * a1**3 - 4 * a2**3 * a0
-                - 27 * a3 * a3 * a0 * a0 + 18 * a3 * a2 * a1 * a0) % p
-        if disc and pow(disc, (p - 1) // 2, p) == p - 1:
+        # y = 3*a3*x + a2 gives y^3 + 3s*y + q, delta = q^2 + 4s^3 = -27*a3^2*D
+        s = (3 * a1 * a3 - a2 * a2) % p
+        q = (2 * a2**3 - 9 * a1 * a2 * a3 + 27 * a0 * a3 * a3) % p
+        delta = (q * q + 4 * s**3) % p
+        if pow(-3 * delta, (p - 1) // 2, p) != 1:  # D = 0 or (D/p) = -1
             return True
+        if not s:  # y^3 = -q, and (-3/p) = 1 makes p = 1 mod 3
+            return pow(-q, (p - 1) // 3, p) == 1
+        # w = (2u)^3 = -4q + z, z^2 = 16*delta, N(w) = (-4s)^3: w is a cube iff
+        # w^((p-1)/3) = 1 (p = 1 mod 3) or w^((p+1)/3) = -4s (p = 2 mod 3), and
+        # otherwise its z-free part is -1/2 or 2s, so that part decides
+        c, d = -4 * q % p, 16 * delta % p
+        e, cube = ((p - 1) // 3, 1) if p % 3 == 1 else ((p + 1) // 3, -4 * s % p)
+        x, y = c, 1
+        for bit in bin(e)[3:]:
+            x, y = (x * x + y * y * d) % p, 2 * x * y % p
+            if bit == "1":
+                x, y = (x * c + y * d) % p, (x + y * c) % p
+        return x == cube
     if p < 50:
         return any(_eval_mod(a, r, p) == 0 for r in range(p))
     return len(_linear_part(a, p)) > 1
@@ -273,7 +290,9 @@ def _distinct_degree(f: list[int], p: int) -> Iterator[tuple[list[int], int]]:
     the product of the monic irreducible factors of degree d (the last
     stage carries lc(f)).  Lazy, so a caller may stop after any stage;
     stage d costs one Frobenius step x^(p^d) = (x^(p^(d-1)))^p, and the
-    steps stop once what is left has degree below 2(d + 1)."""
+    steps stop once what is left has degree below 2(d + 1).  The first
+    stage is sound on any f: a repeated factor q^2 | f has deg q <= n/2,
+    so a stage d <= deg q < n finds a factor first."""
     xq = [0, 1]
     rest = f
     d = 0
@@ -321,10 +340,10 @@ def _padd(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def is_irreducible_mod_p(f: IntPoly, p: int) -> bool:
-    """True iff f mod p is irreducible of full degree (no drop, squarefree).
-    Ben-Or's test: the first distinct-degree stage of f is all of f."""
+    """True iff f mod p is irreducible of full degree.  Ben-Or's test: the
+    first distinct-degree stage of f is all of f."""
     a = _reduce_mod_p(f, p)
-    if len(a) != len(f.coeffs) or len(a) <= 1 or not _is_squarefree_mod_p(a, p):
+    if len(a) != len(f.coeffs) or len(a) <= 1:
         return False
     return next(_distinct_degree(a, p))[1] == len(a) - 1
 

@@ -164,6 +164,21 @@ class TestSieveCommand:
         assert rows[0] == ["m", "factorization", "P", "m1"]
         assert [r[0] for r in rows[1:]] == ["65", "85"]
 
+    def test_cubic_sieve_output_is_pinned(self, tmp_path, capsys):
+        # F = T^3 - T - 1: every prime of P_F passes the cubic root test
+        code, out, _ = run(
+            capsys, "sieve", "--cover", "u^2 - t^3 + t + 1", "--x", "30000",
+            "--mode", "override", "--k", "2", "--y", "5", "--window-lo", "3000",
+            "--window-hi", "7500", "--tail", "off", "--out", str(tmp_path),
+        )
+        assert code == 0 and "|M_F(x)| = 61 " in out
+        assert hashlib.sha256(out.replace(str(tmp_path), "<out>").encode()).hexdigest() == (
+            "1706738a7dd9076dd57188e219af0231e936871b323a139b805249dd3dc85c6e"
+        )
+        assert hashlib.sha256((tmp_path / "mf.csv").read_bytes()).hexdigest() == (
+            "22e63978920488068fbafe850e9b6d64688a15f0486af5b5bbb9c86315fa723c"
+        )
+
     def test_window_past_x_over_k_plus_two_is_accepted(self, tmp_path, capsys):
         # the witness bound n_m <= m*(k+2) does not constrain the sieve
         code, _, _ = run(

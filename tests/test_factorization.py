@@ -113,20 +113,55 @@ class TestHasRootModP:
 
     def test_non_residue_discriminant_skips_the_power(self, monkeypatch):
         # (D/p) = -1 means a linear times an irreducible quadratic factor,
-        # so x^p mod F is computed only where (D/p) = 1 (p >= 50)
+        # and (D/p) = 1 is settled by Cardano's cubic residue test, so no
+        # cubic computes x^p mod F
         from divlab.sieve import build_PF
 
-        F = IntPoly.of([-1, -1, 0, 1])
         powered = []
 
-        def recorded(a, e, mod, p):
-            powered.append(p)
-            return _ppowmod(a, e, mod, p)
+        def recorded(*args):
+            powered.append(args)
 
         monkeypatch.setattr(factorization, "_ppowmod", recorded)
-        build_PF(F, 20000)
-        assert powered == [p for p in range(50, 20001)
-                           if is_prime(p) and sympy.jacobi_symbol(-23 % p, p) == 1]
+        monkeypatch.setattr(factorization, "_linear_part", recorded)
+        for c in CUBICS:
+            build_PF(IntPoly.of(list(c)), 20000)
+        assert powered == []
+
+    def test_cubic_branch_agrees_with_evaluation(self):
+        # every branch of the cubic test: (D/p) = -1, 0 and 1 at p = 1 and
+        # 2 mod 3, pure cubics (no linear term after depressing), and
+        # leading coefficients that vanish mod p
+        seen = set()
+
+        @settings(max_examples=600, deadline=None, database=None)
+        @given(
+            st.one_of(st.sampled_from([2, 3, 5, 7]), st.sampled_from(PRIMES_TO_10K)),
+            st.lists(st.integers(-10**6, 10**6), min_size=4, max_size=4),
+            st.sampled_from(["general", "no_square_term", "pure", "repeated_root", "drop"]),
+        )
+        def check(p, c, shape):
+            c0, c1, c2, c3 = c
+            c3 = c3 or 1
+            if shape == "no_square_term":
+                c2 = 0
+            elif shape == "pure":
+                c1 = c2 = 0
+            elif shape == "repeated_root":
+                # (x - c0)^2 * (c3*x - c1)
+                c0, c1, c2, c3 = -c0 * c0 * c1, c0 * c0 * c3 + 2 * c0 * c1, -2 * c0 * c3 - c1, c3
+            elif shape == "drop":
+                c3 = p * c3
+            f = IntPoly.of([c0, c1, c2, c3])
+            assume(any(v % p for v in f.coeffs))
+            if f.lc % p and p > 3:
+                seen.add((p % 3, sympy.jacobi_symbol(poly_discriminant(f) % p, p), shape == "pure"))
+            assert has_root_mod_p(f, p) == cubic_has_root(f.coeffs, p)
+
+        check()
+        assert {r for r, _, _ in seen} == {1, 2}
+        assert {j for _, j, _ in seen} == {-1, 0, 1}
+        assert (1, 1, True) in seen  # a pure cubic at (D/p) = 1
 
 
 class TestPowMod:

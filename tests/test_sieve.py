@@ -8,6 +8,8 @@ import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_from_int_poly, gf_gcd, gf_pow_mod, gf_sub
 
 from conftest import brute_force_MF
 from divlab.algebra import AlgebraError, IntPoly
@@ -99,6 +101,23 @@ class TestBuildPF:
     def test_membership_operator(self, small_PF_quadratic):
         assert 13 in small_PF_quadratic
         assert 7 not in small_PF_quadratic
+
+    @pytest.mark.parametrize("coeffs", [
+        (-1, -1, 0, 1),   # T^3 - T - 1
+        (2, -3, 5, 77),   # non-monic: the degree drops mod 7 and 11
+        (-2, 0, 0, 1),    # T^3 - 2: no linear term after depressing
+    ])
+    def test_cubics_match_sympy_to_30000(self, coeffs):
+        # root existence per sympy: gcd(F, x^p - x) != 1 in GF(p)[x]
+        F = sympy.Poly(list(reversed(coeffs)), sympy.Symbol("x"))
+        disc = int(F.discriminant())
+        expected = []
+        for p in sympy.primerange(2, 30001):
+            f = gf_from_int_poly([int(c) for c in F.all_coeffs()], p)
+            xp = gf_sub(gf_pow_mod([ZZ(1), ZZ(0)], p, f, p, ZZ), [ZZ(1), ZZ(0)], p, ZZ)
+            if disc % p and len(gf_gcd(f, xp, p, ZZ)) > 1:
+                expected.append(p)
+        assert build_PF(IntPoly.of(list(coeffs)), 30000).primes_in_PF == tuple(expected)
 
     def test_listed_primes_really_have_roots(self):
         F = IntPoly.of([0, 2, -3, 1])
