@@ -52,10 +52,6 @@ class IntPoly:
     def constant(a: int) -> "IntPoly":
         return IntPoly.of([a])
 
-    @staticmethod
-    def monomial(k: int, a: int = 1) -> "IntPoly":
-        return IntPoly.of([0] * k + [a])
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs

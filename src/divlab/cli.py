@@ -13,7 +13,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -26,7 +26,6 @@ from .algebra import (
     critical_polynomial,
     format_poly,
     parse_cover,
-    poly_discriminant,
 )
 from .diversity import CensusConfig, run_census
 from .sieve import (
@@ -54,6 +53,32 @@ class ConfigError(ValueError):
     pass
 
 
+def _parse_tail(text: str) -> Optional[Fraction]:
+    """`off`, `none` and `0` switch the tail constraint off."""
+    return None if text.lower() in ("off", "none", "0") else Fraction(text)
+
+
+# How to read each parameter that is not a string from its text, in a
+# config file, on the command line and in DIVLAB_WORKERS alike.
+_PARSERS = {
+    **dict.fromkeys(("N", "k", "d", "limit", "budget", "workers", "seed"), int),
+    **dict.fromkeys(("x", "epsilon", "delta", "y", "window_lo", "window_hi"), float),
+    "tail": _parse_tail,
+}
+
+
+def _parse(key: str, text: str, where: str):
+    try:
+        return _PARSERS.get(key, str)(text)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"{where}: bad value for {key}: {text!r}") from None
+
+
+def _env_workers() -> int:
+    """DIVLAB_WORKERS backs up the workers key and --workers."""
+    return _parse("workers", os.environ.get("DIVLAB_WORKERS") or "1", "DIVLAB_WORKERS")
+
+
 @dataclass
 class RunConfig:
     cover: Optional[str] = None
@@ -70,49 +95,65 @@ class RunConfig:
     d: Optional[int] = None
     limit: Optional[int] = None
     budget: int = 1_000_000
-    workers: int = 1
+    workers: int = field(default_factory=_env_workers)
     seed: int = 0
     out: str = "."
 
-    def validate(self) -> None:
+    def validate(self, command: str) -> None:
+        """Every value range, for a run of the given subcommand."""
         if self.mode not in ("paper", "override"):
             raise ConfigError(f"mode must be paper or override, got {self.mode!r}")
         if self.mode == "paper":
             for key in ("k", "y", "window_lo", "window_hi"):
                 if getattr(self, key) is not None:
                     raise ConfigError(f"{key} is an override key; set mode = override")
+        for key, v in vars(self).items():
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ConfigError(f"{key} must be finite, got {v}")
         for key in ("N", "x", "epsilon", "delta", "k", "y", "limit", "budget", "workers", "d"):
             v = getattr(self, key)
             if v is not None and v <= 0:
                 raise ConfigError(f"{key} must be positive, got {v}")
+        for key, top in (("epsilon", 0.5), ("delta", 1)):
+            v = getattr(self, key)
+            if v is not None and v > top:
+                raise ConfigError(f"{key} must lie in (0, {top}], got {v}")
+        if self.tail is not None and not 0 < self.tail < 1:
+            raise ConfigError(f"tail exponent must lie in (0, 1), got {self.tail}")
         if self.x is not None and self.limit is not None and self.limit < self.x:
             raise ConfigError(f"sieve limit {self.limit} is below x = {self.x}")
+        if command == "diversity" and self.N is not None and self.N < 10:
+            raise ConfigError("diversity census needs N >= 10")
+        # sieve and witness derive paper-mode parameters from kappa = log log x
+        paper_params = command in ("sieve", "witness") and self.mode == "paper"
+        if paper_params and self.x is not None and self.x <= math.e:
+            raise ConfigError(f"paper mode needs x > e, got x = {self.x:g}")
+        if command == "witness" and self.mode == "override" and None not in (self.x, self.k, self.window_hi):
+            # witnesses satisfy n_m <= m*(k+2), and m reaches the window top
+            # rounded up
+            top = math.ceil(self.window_hi) * (self.k + 2)
+            if top > self.x:
+                raise ConfigError(
+                    f"window_hi*(k+2) = {top} exceeds x = {self.x:g}: "
+                    "witnesses could fall above x; lower window_hi or raise x"
+                )
 
 
-def _parse_tail(text: str) -> Optional[Fraction]:
-    if text.lower() in ("off", "none", "0"):
-        return None
-    try:
-        f = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"bad tail exponent {text!r}")
-    if not (0 < f < 1):
-        raise ConfigError(f"tail exponent must lie in (0, 1), got {f}")
-    return f
+_KEYS = tuple(f.name for f in fields(RunConfig))
 
 
-_INT_KEYS = ("N", "k", "d", "limit", "budget", "workers", "seed")
-_FLOAT_KEYS = ("x", "epsilon", "delta", "y", "window_lo", "window_hi")
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def load_config(path: str) -> RunConfig:
     """Plain `key = value` lines; '#' starts a comment."""
-    cfg = RunConfig()
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}")
+    values = {}
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -120,42 +161,20 @@ def load_config(path: str) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not hasattr(cfg, key):
+        key = key.strip()
+        if key not in _KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            if key in _INT_KEYS:
-                setattr(cfg, key, int(value))
-            elif key in _FLOAT_KEYS:
-                setattr(cfg, key, float(value))
-            elif key == "tail":
-                cfg.tail = _parse_tail(value)
-            else:
-                setattr(cfg, key, value)
-        except ValueError as e:
-            raise ConfigError(f"{path}:{lineno}: {e}")
-    return cfg
+        values[key] = _parse(key, value.strip(), f"{path}:{lineno}")
+    return RunConfig(**values)
 
 
 def merge_flags(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
     """Command-line flags win over config-file values."""
-    updates = {}
-    for key in (
-        "cover", "N", "x", "mode", "epsilon", "delta", "k", "y",
-        "window_lo", "window_hi", "d", "limit", "budget", "workers",
-        "seed", "out",
-    ):
-        v = getattr(args, key, None)
-        if v is not None:
-            updates[key] = v
-    if getattr(args, "tail", None) is not None:
-        updates["tail"] = _parse_tail(args.tail)
-    if "workers" not in updates and cfg.workers == 1 and os.environ.get("DIVLAB_WORKERS"):
-        try:
-            updates["workers"] = int(os.environ["DIVLAB_WORKERS"])
-        except ValueError:
-            raise ConfigError("DIVLAB_WORKERS is not an integer")
-    return replace(cfg, **updates)
+    return replace(cfg, **{
+        key: _parse(key, getattr(args, key), _flag(key))
+        for key in _KEYS
+        if getattr(args, key, None) is not None
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +198,6 @@ def _build_sieve(F: IntPoly, cfg: RunConfig) -> ChebotarevSieve:
     limit = cfg.limit
     if limit is None:
         limit = max(1000, math.ceil(cfg.x)) if cfg.x else 10_000
-    if cfg.x is not None and limit < cfg.x:
-        raise ConfigError(f"sieve limit {limit} is below x = {cfg.x}")
     return build_PF(F, limit)
 
 
@@ -226,7 +243,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
     floor = check_density_floor(sieve, d)
     print(f"F = {format_poly(F, 'T')}")
     print(f"d = {F.degree}")
-    print(f"disc(F) = {poly_discriminant(F)}")
+    print(f"disc(F) = {sieve.discriminant}")
     print(f"|P_F| = {len(sieve.primes_in_PF)} of {sieve.total_primes} primes up to {sieve.limit}")
     print(f"delta_hat = {float(sieve.delta_hat):.6f} ({sieve.delta_hat})")
     print(
@@ -254,15 +271,6 @@ def cmd_sieve(cfg: RunConfig) -> int:
 
 
 def cmd_witness(cfg: RunConfig) -> int:
-    if cfg.mode == "override" and None not in (cfg.x, cfg.k, cfg.window_hi):
-        # witnesses satisfy n_m <= m*(k+2), and m reaches the window top
-        # rounded up
-        top = math.ceil(cfg.window_hi) * (cfg.k + 2)
-        if top > cfg.x:
-            raise ConfigError(
-                f"window_hi*(k+2) = {top} exceeds x = {cfg.x:g}: "
-                "witnesses could fall above x; lower window_hi or raise x"
-            )
     cover = _load_cover(cfg)
     F = critical_polynomial(cover)
     sieve = _build_sieve(F, cfg)
@@ -295,8 +303,6 @@ def cmd_witness(cfg: RunConfig) -> int:
 def cmd_diversity(cfg: RunConfig) -> int:
     cover = _load_cover(cfg)
     _require(cfg, "N")
-    if cfg.N < 10:
-        raise ConfigError("diversity census needs N >= 10")
     census = run_census(
         cover,
         cfg.N,
@@ -305,7 +311,6 @@ def cmd_diversity(cfg: RunConfig) -> int:
             eta=None,
             delta=cfg.delta,
             workers=cfg.workers,
-            mode=cfg.mode,
         ),
     )
     rows = [
@@ -326,7 +331,7 @@ def cmd_diversity(cfg: RunConfig) -> int:
     print(f"eta = {census.eta:.6g}")
     print(f"N_over_logN = {census.n_over_log_n:.3f}")
     print(f"bound_value = {census.bound_value:.3f}")
-    print(f"mode = {census.mode}")
+    print(f"mode = {cfg.mode}")
     print(f"per-n rows -> {path}")
     return 0
 
@@ -376,7 +381,8 @@ def cmd_verify(cfg: RunConfig) -> int:
         f"{len(rep_e.indeterminate)} indeterminate"
     )
 
-    sieve_w = build_PF(F, 10_000)
+    # at limit >= 10,000 the sieve above enumerates the same M_F as this one
+    sieve_w = sieve if limit >= 10_000 else build_PF(F, 10_000)
     params = DiversityParams.override(
         x=10_000, d=F.degree, k=1, y=5, window_lo=50, window_hi=2000,
         tail_exponent=None,
@@ -399,8 +405,15 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors (an unknown flag, a missing value) are config errors."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="divlab",
         description="Diversity experiments for parametric families of number fields.",
     )
@@ -415,32 +428,17 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.set_defaults(func=fn)
         p.add_argument("--config", metavar="PATH")
-        p.add_argument("--cover", metavar="EXPR")
-        p.add_argument("--N", type=int)
-        p.add_argument("--x", type=float)
-        p.add_argument("--mode", choices=["paper", "override"])
-        p.add_argument("--epsilon", type=float)
-        p.add_argument("--delta", type=float)
-        p.add_argument("--k", type=int)
-        p.add_argument("--y", type=float)
-        p.add_argument("--window-lo", dest="window_lo", type=float)
-        p.add_argument("--window-hi", dest="window_hi", type=float)
-        p.add_argument("--tail")
-        p.add_argument("--d", type=int)
-        p.add_argument("--limit", type=int)
-        p.add_argument("--budget", type=int)
-        p.add_argument("--workers", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out", metavar="DIR")
+        for key in _KEYS:
+            p.add_argument(_flag(key), dest=key)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = load_config(args.config) if args.config else RunConfig()
         cfg = merge_flags(cfg, args)
-        cfg.validate()
+        cfg.validate(args.command)
         return args.func(cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

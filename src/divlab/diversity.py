@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import AlgebraError, CurveCover, IntPoly, poly_discriminant
+from .algebra import AlgebraError, CurveCover, IntPoly, critical_polynomial, poly_discriminant
 from .factorization import (
     factor_integer,
     factor_over_Z,
@@ -19,6 +19,7 @@ from .factorization import (
     is_irreducible_mod_p,
     is_prime,
 )
+from .sieve import build_PF, default_epsilon
 
 
 class DegenerateFiberError(ValueError):
@@ -132,7 +133,7 @@ def eta_exponent(d: int, delta: float, genus: Optional[int] = None, nu: Optional
         raise ValueError("d must be at least 1")
     if not (0 < delta <= 1):
         raise ValueError("delta must lie in (0, 1]")
-    epsilon = 1.0 / (1000.0 * math.log(2 * d))
+    epsilon = default_epsilon(d)
     eta = delta * epsilon / 2.0
     unconditional = None
     if genus is not None and nu is not None:
@@ -158,7 +159,6 @@ class DiversityCensus:
     reducible_count: int
     skipped: tuple[int, ...]
     eta: float
-    mode: str
 
     @property
     def n_over_log_n(self) -> float:
@@ -175,7 +175,6 @@ class CensusConfig:
     eta: Optional[float] = None  # computed from (d, delta) when absent
     delta: Optional[float] = None  # defaults to the measured density
     workers: int = 1
-    mode: str = "paper"
 
 
 def _analyze_fiber(cover: CurveCover, n: int, config: Optional[CensusConfig] = None) -> CensusRow:
@@ -218,6 +217,8 @@ def run_census(cover: CurveCover, N: int, config: CensusConfig = CensusConfig())
     if workers == 1:
         rows = _census_rows(cover, range(1, N + 1), config)
     else:
+        # imported here: the process pool's modules would add ~25 ms to
+        # every single-worker run's start-up
         from concurrent.futures import ProcessPoolExecutor
 
         # per-fiber cost grows with n: small chunks pulled by whichever
@@ -226,7 +227,6 @@ def run_census(cover: CurveCover, N: int, config: CensusConfig = CensusConfig())
         with ProcessPoolExecutor(max_workers=workers) as pool:
             shards = pool.map(_census_rows, itertools.repeat(cover), chunks, itertools.repeat(config))
             rows = [r for shard in shards for r in shard]
-    rows.sort(key=lambda r: r.n)
 
     complete_seen: set[tuple[int, ...]] = set()
     partial_seen: set[tuple[int, ...]] = set()
@@ -258,9 +258,6 @@ def run_census(cover: CurveCover, N: int, config: CensusConfig = CensusConfig())
 
     eta = config.eta
     if eta is None:
-        from .algebra import critical_polynomial
-        from .sieve import build_PF
-
         F = critical_polynomial(cover)
         delta = config.delta
         if delta is None:
@@ -273,7 +270,6 @@ def run_census(cover: CurveCover, N: int, config: CensusConfig = CensusConfig())
         reducible_count=reducible,
         skipped=tuple(skipped),
         eta=eta,
-        mode=config.mode,
     )
 
 

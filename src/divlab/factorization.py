@@ -10,6 +10,7 @@ All randomized searches run on fixed seeds, so outputs are reproducible.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -508,8 +509,6 @@ def _bezout_mod_p(g: list[int], h: list[int], p: int) -> tuple[list[int], list[i
 
 def _recombine(f: IntPoly, lifted: list[list[int]], q: int) -> list[IntPoly]:
     """Zassenhaus subset recombination of Hensel-lifted monic factors."""
-    import itertools
-
     remaining = list(range(len(lifted)))
     current = f
     out: list[IntPoly] = []
@@ -560,11 +559,6 @@ class IntFactorization:
     @property
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
-
-    def omega(self) -> int:
-        if not self.complete:
-            raise AlgebraError("omega of an incomplete factorization")
-        return len(self.factors)
 
     def is_squarefree(self) -> bool:
         if not self.complete:
@@ -645,6 +639,7 @@ def _brent_rho(n: int, effort: int) -> int:
 @functools.lru_cache(maxsize=None)
 def _trial_primes(bound: int) -> tuple[int, list[int]]:
     """The product of the primes up to bound, and those primes."""
+    # imported here: sieve imports this module
     from .sieve import prime_sieve
 
     primes = prime_sieve(bound)

@@ -130,17 +130,8 @@ class DiversityParams:
         if not (0 < self.epsilon <= 0.5):
             raise ValueError("epsilon must lie in (0, 1/2]")
         if self.mode == "paper":
-            kappa = math.log(math.log(self.x))
-            k = math.floor(self.epsilon * self.delta * kappa) + 1
-            y = math.exp(math.log(self.x) ** (1 - self.epsilon))
-            checks = (
-                math.isclose(self.kappa, kappa),
-                self.k == k,
-                math.isclose(self.y, y),
-                math.isclose(self.window_lo, self.x / (2 * kappa)),
-                math.isclose(self.window_hi, self.x / kappa),
-            )
-            if not all(checks):
+            derived = _paper_fields(self.x, self.epsilon, self.delta)
+            if not all(math.isclose(getattr(self, key), v) for key, v in derived.items()):
                 raise ValueError("paper-mode fields are not consistent with (x, epsilon, delta)")
 
     @staticmethod
@@ -153,19 +144,14 @@ class DiversityParams:
     ) -> "DiversityParams":
         if epsilon is None:
             epsilon = default_epsilon(d)
-        kappa = math.log(math.log(x))
         return DiversityParams(
             x=x,
             epsilon=epsilon,
             delta=delta,
             d=d,
-            kappa=kappa,
-            k=math.floor(epsilon * delta * kappa) + 1,
-            y=math.exp(math.log(x) ** (1 - epsilon)),
-            window_lo=x / (2 * kappa),
-            window_hi=x / kappa,
             tail_exponent=tail_exponent,
             mode="paper",
+            **_paper_fields(x, epsilon, delta),
         )
 
     @staticmethod
@@ -210,6 +196,18 @@ class DiversityParams:
             return True
         a, b = self.tail_exponent.numerator, self.tail_exponent.denominator
         return P**b >= round(self.x) ** a
+
+
+def _paper_fields(x: float, epsilon: float, delta: float) -> dict:
+    """kappa, k, y and the window that paper mode derives from (x, epsilon, delta)."""
+    kappa = math.log(math.log(x))
+    return {
+        "kappa": kappa,
+        "k": math.floor(epsilon * delta * kappa) + 1,
+        "y": math.exp(math.log(x) ** (1 - epsilon)),
+        "window_lo": x / (2 * kappa),
+        "window_hi": x / kappa,
+    }
 
 
 def default_epsilon(d: int) -> float:

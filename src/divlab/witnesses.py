@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -500,8 +501,6 @@ def lemma_shift_suite(trials: int = 1000, seed: int = 0) -> ShiftSuiteReport:
     """Random separable F of degree <= 4 and random squarefree m built
     from 2-3 usable primes; every instance must admit an exact-divisor
     shift l <= omega(m)."""
-    import random
-
     rng = random.Random(seed)
     done = skipped = violations = 0
     max_shift = 0
@@ -546,8 +545,6 @@ class RhoSuiteReport:
 def rho_brute_force_suite(trials: int = 200, seed: int = 0, m_cap: int = 10_000) -> RhoSuiteReport:
     """Cross-check the multiplicative root count against direct counting
     of roots mod m (a separate code path)."""
-    import random
-
     rng = random.Random(seed)
     small_primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
     done = 0

@@ -1,10 +1,12 @@
 import csv
 import hashlib
-import os
+from dataclasses import fields
+from fractions import Fraction
 
 import pytest
 
-from divlab.cli import ConfigError, RunConfig, load_config, main, merge_flags
+import divlab.cli
+from divlab.cli import ConfigError, RunConfig, build_parser, load_config, main, merge_flags
 from divlab.sieve import MFElement
 from divlab.witnesses import find_cliques
 
@@ -36,12 +38,12 @@ class TestConfig:
     def test_paper_mode_rejects_override_keys(self):
         cfg = RunConfig(cover="u^2 - t", mode="paper", k=3)
         with pytest.raises(ConfigError):
-            cfg.validate()
+            cfg.validate("sieve")
 
     def test_limit_below_x(self):
         cfg = RunConfig(cover="u^2 - t", x=1000.0, limit=100)
         with pytest.raises(ConfigError):
-            cfg.validate()
+            cfg.validate("analyze")
 
     def test_flags_win(self, tmp_path):
         import argparse
@@ -58,6 +60,128 @@ class TestConfig:
         monkeypatch.setenv("DIVLAB_WORKERS", "3")
         cfg = merge_flags(RunConfig(), argparse.Namespace())
         assert cfg.workers == 3
+
+    # one valid text per RunConfig field, none of them its default
+    SAMPLES = {
+        "cover": "u^2 - t", "N": "100", "x": "1e4", "mode": "override",
+        "epsilon": "0.25", "delta": "0.5", "k": "2", "y": "5.5",
+        "window_lo": "50", "window_hi": "100", "tail": "3/4", "d": "3",
+        "limit": "20000", "budget": "500", "workers": "2", "seed": "7",
+        "out": "run/",
+    }
+
+    def test_every_field_is_a_config_key_and_a_flag(self, tmp_path):
+        assert set(self.SAMPLES) == {f.name for f in fields(RunConfig)}
+        default = RunConfig()
+        for key, text in self.SAMPLES.items():
+            p = tmp_path / f"{key}.cfg"
+            p.write_text(f"{key} = {text}\n")
+            from_file = getattr(load_config(str(p)), key)
+            args = build_parser().parse_args(["analyze", "--" + key.replace("_", "-"), text])
+            from_flag = getattr(merge_flags(RunConfig(), args), key)
+            assert from_file == from_flag != getattr(default, key), key
+            assert type(from_file) is type(from_flag)
+
+    def test_tail_values(self, tmp_path):
+        for text, value in (("off", None), ("None", None), ("0", None), ("9/10", Fraction(9, 10))):
+            p = tmp_path / "run.cfg"
+            p.write_text(f"tail = {text}\n")
+            assert load_config(str(p)).tail == value
+
+    @pytest.mark.parametrize("config, flag, env, expected", [
+        ("workers = 1", None, "3", 1),
+        ("workers = 2", None, "3", 2),
+        ("seed = 1", None, "3", 3),
+        ("workers = 2", "4", "3", 4),
+        (None, None, "3", 3),
+        (None, "4", "3", 4),
+        (None, None, "", 1),
+        (None, None, None, 1),
+    ])
+    def test_worker_precedence(self, tmp_path, monkeypatch, config, flag, env, expected):
+        # flag > config file > DIVLAB_WORKERS > 1
+        if env is None:
+            monkeypatch.delenv("DIVLAB_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("DIVLAB_WORKERS", env)
+        cfg = RunConfig()
+        if config is not None:
+            p = tmp_path / "run.cfg"
+            p.write_text(config + "\n")
+            cfg = load_config(str(p))
+        argv = ["diversity"] + (["--workers", flag] if flag else [])
+        assert merge_flags(cfg, build_parser().parse_args(argv)).workers == expected
+
+    def test_malformed_env_workers(self, monkeypatch, capsys):
+        monkeypatch.setenv("DIVLAB_WORKERS", "two")
+        code, _, err = run(capsys, "analyze", "--cover", "u^2 - t")
+        assert code == 1 and "DIVLAB_WORKERS" in err
+
+
+class TestConfigErrors:
+    """Every malformed parameter exits 1 with a config error, whether it
+    comes from a flag or from a config file."""
+
+    COVER = ("--cover", "u^2 + t^2 + 1")
+    CASES = [
+        ("sieve", "N", "ten", ("--x", "10000")),
+        ("diversity", "N", "ten", ()),
+        ("sieve", "x", "1e", ()),
+        ("sieve", "mode", "bogus", ("--x", "10000")),
+        ("sieve", "epsilon", "0.7", ("--x", "10000")),
+        ("witness", "epsilon", "0.7", ("--x", "10000")),
+        ("analyze", "epsilon", "0.7", ()),
+        ("diversity", "delta", "1.5", ("--N", "20")),
+        ("analyze", "tail", "2", ()),
+        ("analyze", "tail", "1/0", ()),
+        ("sieve", "x", "2", ()),
+        ("witness", "x", "2", ()),
+        ("diversity", "N", "5", ()),
+        ("analyze", "workers", "0", ()),
+        ("analyze", "x", "inf", ()),
+        ("sieve", "y", "nan", ("--x", "1e4", "--mode", "override", "--k", "1",
+                               "--window-lo", "50", "--window-hi", "100")),
+    ]
+
+    @pytest.mark.parametrize("command, key, text, extra", CASES)
+    def test_flag(self, capsys, command, key, text, extra):
+        flag = "--" + key.replace("_", "-")
+        code, out, err = run(capsys, command, *self.COVER, *extra, flag, text)
+        assert code == 1 and err.startswith("config error: ") and out == ""
+
+    @pytest.mark.parametrize("command, key, text, extra", CASES)
+    def test_config_line(self, tmp_path, capsys, command, key, text, extra):
+        p = tmp_path / "run.cfg"
+        p.write_text(f"{key} = {text}\n")
+        code, out, err = run(capsys, command, *self.COVER, *extra, "--config", str(p))
+        assert code == 1 and err.startswith("config error: ") and out == ""
+
+    def test_messages(self, capsys):
+        assert "paper or override" in run(capsys, "analyze", "--mode", "bogus")[2]
+        assert "x > e" in run(capsys, "sieve", *self.COVER, "--x", "2")[2]
+        assert "epsilon must lie in (0, 0.5]" in run(capsys, "analyze", "--epsilon", "0.7")[2]
+
+    def test_unknown_config_key(self, tmp_path, capsys):
+        # a RunConfig method is not a key
+        p = tmp_path / "run.cfg"
+        p.write_text("validate = 1\n")
+        code, _, err = run(capsys, "analyze", *self.COVER, "--config", str(p))
+        assert code == 1 and "unknown key 'validate'" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "--frobnicate", "1"),
+        ("analyze", "--N"),
+        ("frobnicate",),
+        (),
+    ])
+    def test_usage_errors(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and err.startswith("config error: ")
+
+    def test_analyze_accepts_small_x(self, capsys):
+        # x > e binds only where paper-mode parameters are derived
+        code, out, _ = run(capsys, "analyze", "--cover", "u^2 - t", "--x", "2")
+        assert code == 0 and "|P_F| = " in out
 
 
 class TestAnalyze:
@@ -240,10 +364,19 @@ class TestDiversityCommand:
 
 
 class TestVerifyCommand:
-    def test_quadratic_family(self, capsys):
+    def test_quadratic_family(self, capsys, monkeypatch):
+        limits = []
+        build_PF = divlab.cli.build_PF
+
+        def counting_build_PF(F, limit):
+            limits.append(limit)
+            return build_PF(F, limit)
+
+        monkeypatch.setattr(divlab.cli, "build_PF", counting_build_PF)
         code, out, _ = run(capsys, "verify", "--cover", "u^2 - t")
         assert code == 0
         assert "all suites passed" in out
+        assert limits == [10_000]  # one P_F serves every suite at the default limit
 
     def test_cubic_family(self, capsys):
         code, out, _ = run(
