@@ -25,6 +25,45 @@ class DegenerateCoverError(AlgebraError):
     or not squarefree in u)."""
 
 
+# ---------------------------------------------------------------------------
+# dense little-endian coefficient lists over Z: the loops every ring shares
+
+def _trim(a: list[int]) -> list[int]:
+    """Drop trailing zeros in place; returns a."""
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _zmul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product over Z, untrimmed and unreduced."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _zdivmod(rem: list[int], b: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Long division of rem by b != 0 in Z[T], rem overwritten: (quotient,
+    remainder of length deg b).  Raises when a step's leading coefficient
+    is not a multiple of lc(b), so the division is exact or pseudo."""
+    n, lc = len(b) - 1, b[-1]
+    q = [0] * max(0, len(rem) - n)
+    for i in range(len(rem) - len(b), -1, -1):
+        c, m = divmod(rem[i + n], lc)
+        if m:
+            raise AlgebraError("inexact polynomial division")
+        q[i] = c
+        if c:
+            for j, x in enumerate(b, i):
+                rem[j] -= c * x
+    return q, rem[:n]
+
+
 @dataclass(frozen=True)
 class IntPoly:
     """Dense univariate polynomial over Z; coeffs[i] is the coefficient of T^i.
@@ -43,10 +82,7 @@ class IntPoly:
     def of(coeffs: Iterable[int]) -> "IntPoly":
         """Build a polynomial from a low-to-high coefficient sequence,
         trimming trailing zeros."""
-        c = list(coeffs)
-        while c and c[-1] == 0:
-            c.pop()
-        return IntPoly(tuple(int(a) for a in c))
+        return IntPoly(tuple(int(a) for a in _trim(list(coeffs))))
 
     @staticmethod
     def constant(a: int) -> "IntPoly":
@@ -89,14 +125,7 @@ class IntPoly:
         return self + (-other)
 
     def __mul__(self, other: "IntPoly") -> "IntPoly":
-        if self.is_zero or other.is_zero:
-            return IntPoly(())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPoly.of(out)
+        return IntPoly.of(_zmul(self.coeffs, other.coeffs))
 
     def scale(self, a: int) -> "IntPoly":
         if a == 0:
@@ -131,23 +160,7 @@ class IntPoly:
         """Exact division in Z[T]; raises if the division is not exact."""
         if other.is_zero:
             raise AlgebraError("division by zero polynomial")
-        if self.is_zero:
-            return IntPoly(())
-        rem = list(self.coeffs)
-        dv = other.coeffs
-        dq = len(rem) - len(dv)
-        if dq < 0:
-            raise AlgebraError("inexact polynomial division")
-        q = [0] * (dq + 1)
-        for i in range(dq, -1, -1):
-            head = rem[i + len(dv) - 1]
-            if head % dv[-1] != 0:
-                raise AlgebraError("inexact polynomial division")
-            c = head // dv[-1]
-            q[i] = c
-            if c:
-                for j, b in enumerate(dv):
-                    rem[i + j] -= c * b
+        q, rem = _zdivmod(list(self.coeffs), other.coeffs)
         if any(rem):
             raise AlgebraError("inexact polynomial division")
         return IntPoly.of(q)
@@ -184,17 +197,8 @@ def format_poly(f: IntPoly, var: str) -> str:
 
 def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
     """Pseudo-remainder of lc(b)^(deg a - deg b + 1) * a by b."""
-    d = a.degree - b.degree
-    r = a.scale(b.lc ** (d + 1))
-    rem = list(r.coeffs)
-    dv = b.coeffs
-    for i in range(len(rem) - len(dv), -1, -1):
-        c, m = divmod(rem[i + len(dv) - 1], dv[-1])
-        assert m == 0
-        if c:
-            for j, x in enumerate(dv):
-                rem[i + j] -= c * x
-    return IntPoly.of(rem[: len(dv) - 1])
+    s = b.lc ** (a.degree - b.degree + 1)
+    return IntPoly.of(_zdivmod([c * s for c in a.coeffs], b.coeffs)[1])
 
 
 def poly_gcd(f: IntPoly, h: IntPoly) -> IntPoly:
@@ -354,19 +358,12 @@ def _interpolate(points: list[tuple[int, int]]) -> IntPoly:
     n = len(points)
     coeffs = [Fraction(0)] * n
     for xi, yi in points:
-        num = [Fraction(1)]
-        den = Fraction(1)
+        num, den = [1], 1
         for xj, _ in points:
-            if xj == xi:
-                continue
-            # multiply num by (X - xj)
-            nxt = [Fraction(0)] * (len(num) + 1)
-            for k, c in enumerate(num):
-                nxt[k] -= c * xj
-                nxt[k + 1] += c
-            num = nxt
-            den *= xi - xj
-        w = Fraction(yi) / den
+            if xj != xi:
+                num = _zmul(num, [-xj, 1])
+                den *= xi - xj
+        w = Fraction(yi, den)
         for k, c in enumerate(num):
             coeffs[k] += c * w
     out = []

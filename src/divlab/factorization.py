@@ -4,6 +4,13 @@ degree + equal degree splitting), integer polynomial factorization over Z
 (trial division + Brent-cycle Pollard rho with deterministic Miller-Rabin
 certificates).
 
+Both polynomial factorizations work the same way: find the distinct
+irreducible factors of a squarefree polynomial with the same roots (over
+Z the squarefree primitive part; over GF(p) f/gcd(f, f'), then gcd(f, f')
+and p-th roots by recursion), then count each factor's multiplicity by
+exact division of the input.  The dense loops they share over Z (trim,
+product, exact division) live in algebra.
+
 All randomized searches run on fixed seeds, so outputs are reproducible.
 """
 
@@ -14,9 +21,9 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .algebra import AlgebraError, IntPoly, poly_gcd
+from .algebra import AlgebraError, IntPoly, _trim, _zmul, squarefree_primitive_part
 
 # Deterministic Miller-Rabin: this base set is a primality certificate for
 # every integer below 3.3 * 10^24.
@@ -27,26 +34,16 @@ _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 # ---------------------------------------------------------------------------
 # dense polynomial arithmetic over GF(p); little-endian int lists
 
-def _trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _zmul(a: list[int], b: list[int]) -> list[int]:
-    """The product over Z, unreduced: the one product loop of the kernel."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    return out
-
-
 def _pmul(a: list[int], b: list[int], p: int) -> list[int]:
     return _trim([c % p for c in _zmul(a, b)])
+
+
+def _pprod(polys: Iterable[list[int]], p: int) -> list[int]:
+    """The product of polys mod p; [1] for none."""
+    out = [1]
+    for a in polys:
+        out = _pmul(out, a, p)
+    return out
 
 
 def _pdivmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -143,11 +140,7 @@ class ModPolyFactorization:
     factors: tuple[tuple[tuple[int, ...], int], ...]  # (monic coeffs, multiplicity)
 
     def product(self) -> list[int]:
-        out = [self.unit]
-        for fac, mult in self.factors:
-            for _ in range(mult):
-                out = _pmul(out, list(fac), self.p)
-        return out
+        return _pprod([[self.unit]] + [list(fac) for fac, mult in self.factors for _ in range(mult)], self.p)
 
 
 def roots_mod_p(f: IntPoly, p: int) -> list[int]:
@@ -218,11 +211,15 @@ def _linear_part(a: list[int], p: int) -> list[int]:
     return _pgcd(a, _psub(_ppowmod([0, 1], p, a, p), [0, 1], p), p)
 
 
-def _psub(a: list[int], b: list[int], p: int) -> list[int]:
+def _padd(a: list[int], b: list[int], p: int) -> list[int]:
     out = list(a) + [0] * max(0, len(b) - len(a))
     for i, y in enumerate(b):
-        out[i] = (out[i] - y) % p
+        out[i] = (out[i] + y) % p
     return _trim(out)
+
+
+def _psub(a: list[int], b: list[int], p: int) -> list[int]:
+    return _padd(a, [-y for y in b], p)
 
 
 def _eval_mod(a: list[int], r: int, p: int) -> int:
@@ -234,55 +231,41 @@ def _eval_mod(a: list[int], r: int, p: int) -> int:
 
 def factor_mod_p(f: IntPoly, p: int) -> ModPolyFactorization:
     """Complete factorization mod p into monic irreducibles with
-    multiplicities (squarefree split, then distinct-degree, then
-    equal-degree splitting)."""
+    multiplicities: the distinct irreducible factors first, then each
+    one's multiplicity by exact division."""
     a = _reduce_mod_p(f, p)
     if not a:
         raise AlgebraError(f"polynomial vanishes identically mod {p}")
     unit = a[-1]
     inv = pow(unit, -1, p)
     monic = [(c * inv) % p for c in a]
-    rng = random.Random(0xFAC7 ^ p)
-    found: dict[tuple[int, ...], int] = {}
-    for part, mult in _squarefree_mod_p(monic, p):
-        for g, d in _distinct_degree(part, p):
-            for irr in _equal_degree_split(g, d, p, rng):
-                key = tuple(irr)
-                found[key] = found.get(key, 0) + mult
-    factors = tuple(sorted(found.items(), key=lambda kv: (len(kv[0]), kv[0])))
-    return ModPolyFactorization(p=p, unit=unit, factors=factors)
+    factors = []
+    for irr in sorted(_irreducible_factors(monic, p, random.Random(0xFAC7 ^ p)), key=lambda h: (len(h), h)):
+        mult = 0
+        q, r = _pdivmod(monic, irr, p)
+        while not r:
+            mult += 1
+            q, r = _pdivmod(q, irr, p)
+        factors.append((tuple(irr), mult))
+    return ModPolyFactorization(p=p, unit=unit, factors=tuple(factors))
 
 
-def _squarefree_mod_p(f: list[int], p: int) -> list[tuple[list[int], int]]:
-    """Squarefree decomposition of a monic polynomial mod p:
-    list of (monic squarefree part, multiplicity)."""
-    out: list[tuple[list[int], int]] = []
+def _irreducible_factors(f: list[int], p: int, rng: random.Random) -> list[list[int]]:
+    """The distinct monic irreducible factors of a monic f mod p, each
+    listed once.  Those of multiplicity prime to p are the factors of the
+    squarefree f/gcd(f, f'); the others divide gcd(f, f'), or f' = 0 and
+    f = g(x^p) = g(x)^p."""
     if len(f) <= 1:
-        return out
+        return []
     df = _pderiv(f, p)
     if not df:
-        # f = g(x^p) = g(x)^p over GF(p)
-        g = [f[i] for i in range(0, len(f), p)]
-        for part, mult in _squarefree_mod_p(g, p):
-            out.append((part, mult * p))
-        return out
+        return _irreducible_factors(f[::p], p, rng)
     c = _pgcd(f, df, p)
-    w, _ = _pdivmod(f, c, p)
-    i = 1
-    while len(w) > 1:
-        y = _pgcd(w, c, p)
-        z, _ = _pdivmod(w, y, p)
-        if len(z) > 1:
-            out.append((z, i))
-        w = y
-        c, _ = _pdivmod(c, y, p)
-        i += 1
-    if len(c) > 1:
-        # the leftover is a p-th power: c(x) = c1(x^p) = c1(x)^p
-        c1 = [c[i] for i in range(0, len(c), p)]
-        for part, mult in _squarefree_mod_p(c1, p):
-            out.append((part, mult * p))
-    return out
+    out = [
+        irr for g, d in _distinct_degree(_pdivmod(f, c, p)[0], p)
+        for irr in _equal_degree_split(g, d, p, rng)
+    ]
+    return out + [irr for irr in _irreducible_factors(c, p, rng) if irr not in out]
 
 
 def _distinct_degree(f: list[int], p: int) -> Iterator[tuple[list[int], int]]:
@@ -333,13 +316,6 @@ def _equal_degree_split(f: list[int], d: int, p: int, rng: random.Random) -> lis
             return _equal_degree_split(g, d, p, rng) + _equal_degree_split(other, d, p, rng)
 
 
-def _padd(a: list[int], b: list[int], p: int) -> list[int]:
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] = (out[i] + y) % p
-    return _trim(out)
-
-
 def is_irreducible_mod_p(f: IntPoly, p: int) -> bool:
     """True iff f mod p is irreducible of full degree.  Ben-Or's test: the
     first distinct-degree stage of f is all of f."""
@@ -363,39 +339,20 @@ def factor_over_Z(f: IntPoly) -> tuple[int, list[tuple[IntPoly, int]]]:
     """
     if f.is_zero:
         raise AlgebraError("cannot factor the zero polynomial")
-    content = f.content()
-    if f.lc < 0:
-        content = -content
-    prim = IntPoly.of([c // content for c in f.coeffs])
+    prim = f.primitive_part()
+    content = f.lc // prim.lc
+    if prim.degree < 1:
+        return content, []
     out: list[tuple[IntPoly, int]] = []
-    for part, mult in _yun_squarefree(prim):
-        for irr in _factor_squarefree_Z(part):
+    for irr in _factor_squarefree_Z(squarefree_primitive_part(prim)):
+        mult, rest = 0, prim
+        try:
+            while True:
+                rest = rest.exact_div(irr)
+                mult += 1
+        except AlgebraError:
             out.append((irr, mult))
-    out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
     return content, out
-
-
-def _yun_squarefree(f: IntPoly) -> list[tuple[IntPoly, int]]:
-    """Yun's squarefree decomposition of a primitive polynomial over Z."""
-    if f.degree < 1:
-        return []
-    g = poly_gcd(f, f.derivative())
-    if g.degree == 0:
-        return [(f, 1)]
-    out: list[tuple[IntPoly, int]] = []
-    w = f.exact_div(g)
-    y = f.derivative().exact_div(g)
-    z = y - w.derivative()
-    i = 1
-    while w.degree > 0:
-        h = poly_gcd(w, z)
-        if h.degree > 0:
-            out.append((h, i))
-        w = w.exact_div(h)
-        y = z.exact_div(h) if not z.is_zero else z
-        z = y - w.derivative()
-        i += 1
-    return out
 
 
 def _factor_squarefree_Z(f: IntPoly) -> list[IntPoly]:
@@ -405,9 +362,9 @@ def _factor_squarefree_Z(f: IntPoly) -> list[IntPoly]:
     if f.degree <= 1:
         return [f.primitive_part()]
     lc = f.lc
-    # monicize: fm(x) = lc^(d-1) f(x/lc)
+    # monicize: fm(x) = lc^(d-1) f(x/lc), in integers (lc**-1 is a float)
     d = f.degree
-    fm = IntPoly.of([c * lc ** (d - 1 - i) for i, c in enumerate(f.coeffs)])
+    fm = IntPoly.of([c * lc ** (d - 1 - i) for i, c in enumerate(f.coeffs[:-1])] + [1])
     monic_factors = _factor_monic_squarefree_Z(fm)
     out = []
     for g in monic_factors:
@@ -435,11 +392,9 @@ def _factor_monic_squarefree_Z(f: IntPoly) -> list[IntPoly]:
     # Mignotte-style bound on factor coefficients
     norm = math.isqrt(sum(c * c for c in f.coeffs)) + 1
     bound = 2 ** (f.degree + 1) * norm
-    a = 1
     q = p
     while q <= 2 * bound:
         q *= p
-        a += 1
     lifted = _hensel_lift_tree(f, locals_, p, q)
     return _recombine(f, lifted, q)
 
@@ -472,19 +427,12 @@ def _hensel_lift_tree(f: IntPoly, facs: list[list[int]], p: int, q: int) -> list
         if len(parts) == 1:
             return [target]
         half = len(parts) // 2
-        g = [1]
-        for fac in parts[:half]:
-            g = _pmul(g, fac, p)
-        h = [1]
-        for fac in parts[half:]:
-            h = _pmul(h, fac, p)
+        g, h = _pprod(parts[:half], p), _pprod(parts[half:], p)
         s, t = _bezout_mod_p(g, h, p)
         m = p
         while m < q:
             g, h, s, t = _hensel_step(target, g, h, s, t, m)
             m = m * m
-            g = [c % q for c in g] if m >= q else g
-            h = [c % q for c in h] if m >= q else h
         g = _trim([c % q for c in g])
         h = _trim([c % q for c in h])
         return lift(g, parts[:half]) + lift(h, parts[half:])
@@ -514,26 +462,18 @@ def _recombine(f: IntPoly, lifted: list[list[int]], q: int) -> list[IntPoly]:
     out: list[IntPoly] = []
     size = 1
     while 2 * size <= len(remaining):
-        found = True
-        while found:
-            found = False
-            for combo in itertools.combinations(remaining, size):
-                prod = [1]
-                for i in combo:
-                    prod = _pmul(prod, lifted[i], q)
-                cand = IntPoly.of([_centered(c, q) for c in prod])
-                try:
-                    quotient = current.exact_div(cand)
-                except AlgebraError:
-                    continue
-                out.append(cand)
-                current = quotient
-                remaining = [i for i in remaining if i not in combo]
-                found = True
-                break
-            if 2 * size > len(remaining):
-                break
-        size += 1
+        for combo in itertools.combinations(remaining, size):
+            cand = IntPoly.of([_centered(c, q) for c in _pprod((lifted[i] for i in combo), q)])
+            try:
+                quotient = current.exact_div(cand)
+            except AlgebraError:
+                continue
+            out.append(cand)
+            current = quotient
+            remaining = [i for i in remaining if i not in combo]
+            break
+        else:
+            size += 1
     if current.degree > 0:
         out.append(current)
     return out
@@ -581,6 +521,12 @@ def is_prime(n: int) -> bool:
             return n == p
     if n >= _MR_LIMIT:
         raise AlgebraError(f"{n} exceeds the deterministic Miller-Rabin range")
+    return _strong_probable_prime(n)
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """The strong test to every base of _MR_BASES, for odd n > 41: False
+    proves n composite at any size; True proves it prime below _MR_LIMIT."""
     d = n - 1
     r = 0
     while d % 2 == 0:
@@ -649,8 +595,9 @@ def _trial_primes(bound: int) -> tuple[int, list[int]]:
 def factor_integer(nval: int, trial_bound: int = 10_000, effort: int = 1_000_000) -> IntFactorization:
     """Factor a nonzero integer: trial division by the primes up to
     trial_bound (at least 2, 3 and 5), found through one gcd with their
-    product, then Pollard rho (Brent) within the iteration budget.  The
-    unsplit part lands in cofactor."""
+    product, then Pollard rho (Brent) within the iteration budget on every
+    part proved composite, at or above _MR_LIMIT too.  A prime is listed
+    only when is_prime certifies it; the unsplit part lands in cofactor."""
     if nval == 0:
         raise AlgebraError("cannot factor zero")
     sign = -1 if nval < 0 else 1
@@ -677,12 +624,13 @@ def factor_integer(nval: int, trial_bound: int = 10_000, effort: int = 1_000_000
         v = stack.pop()
         if v == 1:
             continue
-        if v >= _MR_LIMIT:
-            # no primality certificate available up there
+        if v < _MR_LIMIT:
+            if is_prime(v):
+                found[v] = found.get(v, 0) + 1
+                continue
+        elif _strong_probable_prime(v):
+            # probably prime, but no certificate available up there
             cofactor *= v
-            continue
-        if is_prime(v):
-            found[v] = found.get(v, 0) + 1
             continue
         root = math.isqrt(v)
         if root * root == v:

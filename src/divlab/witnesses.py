@@ -12,7 +12,7 @@ import math
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .algebra import IntPoly, poly_discriminant
 from .factorization import factor_integer, is_prime, roots_mod_p
@@ -94,26 +94,18 @@ def _crt_root(primes: Sequence[int], m: int, roots: dict[int, list[int]]) -> Crt
     for p in primes:
         if not roots[p]:
             raise NoRootError(p)
-    per_prime = [roots[p] for p in primes]
-    count = math.prod(len(r) for r in per_prime)
-    best: Optional[int] = None
-    minimal = count <= CRT_ENUMERATION_CAP
-    for combo in itertools.product(*per_prime):
-        n = _crt_combine(primes, combo, m)
-        if best is None or n < best:
-            best = n
-        if not minimal:
-            break
-    assert best is not None
-    return CrtRoot(n=best, minimal=minimal)
+    minimal = math.prod(len(roots[p]) for p in primes) <= CRT_ENUMERATION_CAP
+    residues = _crt_residues(primes, m, roots)
+    return CrtRoot(n=min(residues) if minimal else next(residues), minimal=minimal)
 
 
-def _crt_combine(primes: Sequence[int], residues: Sequence[int], m: int) -> int:
-    n = 0
-    for p, r in zip(primes, residues):
-        mp = m // p
-        n += r * mp * pow(mp, -1, p)
-    return n % m
+def _crt_residues(primes: Sequence[int], m: int, roots: dict[int, list[int]]) -> Iterator[int]:
+    """The n in [0, m) with n = r mod p for one root r mod each prime p of
+    m, one per combination of roots in product order: sum r * e_p mod m,
+    with the CRT idempotents e_p = 1 mod p, 0 mod m/p computed once."""
+    basis = [m // p * pow(m // p, -1, p) for p in primes]
+    for combo in itertools.product(*(roots[p] for p in primes)):
+        yield sum(r * e for r, e in zip(combo, basis)) % m
 
 
 def exact_divisor_shift(F: IntPoly, m: int, n: int) -> int:
@@ -429,8 +421,7 @@ def heavy_n_scan(
     counts: dict[int, int] = defaultdict(int)
     roots = _root_table(F, (p for e in mf for p in e.primes))
     for e in mf:
-        for combo in itertools.product(*(roots[p] for p in e.primes)):
-            r = _crt_combine(e.primes, combo, e.m)
+        for r in _crt_residues(e.primes, e.m, roots):
             n = r if r > 0 else e.m
             while n <= x:
                 counts[n] += 1

@@ -1,6 +1,6 @@
 import csv
 import hashlib
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -173,6 +173,8 @@ class TestConfigErrors:
         ("analyze", "--N"),
         ("frobnicate",),
         (),
+        ("analyze", "--cover", "u^2 - t", "--work", "3"),  # flags are never abbreviated
+        ("analyze", "--cov", "u^2 - t"),
     ])
     def test_usage_errors(self, capsys, argv):
         code, _, err = run(capsys, *argv)
@@ -377,6 +379,20 @@ class TestVerifyCommand:
         assert code == 0
         assert "all suites passed" in out
         assert limits == [10_000]  # one P_F serves every suite at the default limit
+
+    def test_property_E_violation_is_a_hard_failure(self, capsys, monkeypatch):
+        verify_property_E = divlab.cli.verify_property_E
+
+        def with_violation(F, n_lo, n_hi, **kw):
+            rep = verify_property_E(F, n_lo, n_hi, **kw)
+            assert rep.violations == ()
+            return replace(rep, violations=((n_lo, F.degree + 1),))
+
+        monkeypatch.setattr(divlab.cli, "verify_property_E", with_violation)
+        code, out, _ = run(capsys, "verify", "--cover", "u^2 - t")
+        assert code == 3
+        assert "1 above-threshold, 0 indeterminate: FAIL" in out
+        assert "1 hard failure(s)" in out
 
     def test_cubic_family(self, capsys):
         code, out, _ = run(

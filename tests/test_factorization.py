@@ -216,6 +216,85 @@ class TestFactorModP:
                 assert is_irreducible_mod_p(IntPoly.of(g), p)
 
 
+def power(g, e):
+    out = IntPoly.of([1])
+    for _ in range(e):
+        out = out * g
+    return out
+
+
+def sympy_factors_mod_p(f, p):
+    """(monic little-endian coeffs, multiplicity) per sympy, sorted."""
+    _, facs = sympy.factor_list(to_sympy(f), modulus=p)
+    out = []
+    for g, e in facs:
+        c = [int(a) % p for a in reversed(g.all_coeffs())]
+        inv = pow(c[-1], -1, p)
+        out.append((tuple(a * inv % p for a in c), e))
+    return sorted(out, key=lambda fe: (len(fe[0]), fe[0]))
+
+
+class TestMultiplicities:
+    """Exact multiplicities against sympy, on products with repeated
+    factors, p-th powers and polynomials in x^p."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_factor_mod_p(self, p):
+        rng = random.Random(61 + p)
+        checked = 0
+        while checked < 60:
+            f = IntPoly.of([rng.choice([1, 2, 3])])
+            for _ in range(rng.randint(1, 3)):
+                g = random_poly(rng, deg_max=2, coeff=9)
+                if rng.random() < 0.3:  # g(x^p) = g(x)^p mod p
+                    g = IntPoly.of([c if i % p == 0 else 0 for i in range(p * g.degree + 1) for c in [g.coeffs[i // p]]])
+                f = f * power(g, rng.choice([1, 2, p, p + 1, 2 * p]))
+            if f.degree > 40 or all(c % p == 0 for c in f.coeffs):
+                continue
+            fact = factor_mod_p(f, p)
+            assert list(fact.factors) == sympy_factors_mod_p(f, p)
+            assert fact.product() == _reduce_mod_p(f, p)
+            checked += 1
+
+    def test_factor_mod_p_hand_examples(self):
+        # (x + 1)^6 (x^2 + x + 1)^2 mod 2 and (x^3 - x - 1)^9 mod 3
+        f = power(IntPoly.of([1, 1]), 6) * power(IntPoly.of([1, 1, 1]), 2)
+        assert factor_mod_p(f, 2).factors == (((1, 1), 6), ((1, 1, 1), 2))
+        g = IntPoly.of([-1, -1, 0, 1])
+        assert factor_mod_p(power(g, 9), 3).factors == (((2, 2, 0, 1), 9),)
+
+    def test_factor_over_Z(self):
+        rng = random.Random(67)
+        for _ in range(80):
+            f = IntPoly.of([rng.choice([-6, -2, -1, 1, 3])])
+            for _ in range(rng.randint(1, 3)):
+                f = f * power(random_poly(rng, deg_max=3, coeff=9), rng.randint(1, 4))
+            if f.degree > 24:
+                continue
+            content, factors = factor_over_Z(f)
+            sp_content, sp = sympy.factor_list(to_sympy(f))
+            theirs = []
+            for g, e in sp:
+                c = [int(a) for a in reversed(g.all_coeffs())]
+                if c[-1] < 0:
+                    c, sp_content = [-a for a in c], sp_content * (-1) ** e
+                theirs.append((tuple(c), e))
+            assert content == sp_content
+            assert sorted((g.coeffs, e) for g, e in factors) == sorted(theirs)
+
+    def test_leading_coefficient_49(self):
+        # 49 * (1/49) < 1 in floats: monicizing must stay in integers
+        f = IntPoly.of([1, 3, 49])
+        assert factor_over_Z(f) == (1, [(f, 1)])
+        g = IntPoly.of([2, 7]) * IntPoly.of([-3, 7])
+        assert factor_over_Z(g) == (1, [(IntPoly.of([-3, 7]), 1), (IntPoly.of([2, 7]), 1)])
+
+    def test_factor_over_Z_hand_example(self):
+        # -4 (x - 1)^3 (x^2 + 1)^2 (2x + 3)
+        f = IntPoly.of([-4]) * power(IntPoly.of([-1, 1]), 3) * power(IntPoly.of([1, 0, 1]), 2) * IntPoly.of([3, 2])
+        assert factor_over_Z(f) == (-4, [(IntPoly.of([-1, 1]), 3), (IntPoly.of([3, 2]), 1), (IntPoly.of([1, 0, 1]), 2)])
+
+
 def irreducible_per_sympy(f, p):
     return sympy.Poly(list(reversed(f.coeffs)), x, modulus=p).is_irreducible
 
@@ -339,6 +418,22 @@ class TestFactorInteger:
                 assert sympy.isprime(p)
             if fact.complete:
                 assert fact.cofactor == 1
+
+    def test_rho_runs_above_the_miller_rabin_range(self):
+        n = 1000003 * 1000000007 * 10000000000000061
+        assert n > factorization._MR_LIMIT
+        fact = factor_integer(n)
+        assert fact.complete and fact.reassemble() == n
+        assert dict(fact.factors) == sympy.factorint(n)
+
+    def test_probable_prime_above_the_range_stays_cofactor(self):
+        m89 = 2**89 - 1
+        assert sympy.isprime(m89) and m89 > factorization._MR_LIMIT
+        fact = factor_integer(3 * m89)
+        assert fact.factors == ((3, 1),) and fact.cofactor == m89
+        # and a split above the range lists the certified prime below it
+        fact = factor_integer(1000000007 * m89)
+        assert fact.factors == ((1000000007, 1),) and fact.cofactor == m89
 
     def test_partial_factorization_is_honest(self):
         # product of two ~40-digit primes: rho budget cannot split it
