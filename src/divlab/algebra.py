@@ -9,7 +9,9 @@ power of u.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,8 +83,9 @@ class IntPoly:
     @staticmethod
     def of(coeffs: Iterable[int]) -> "IntPoly":
         """Build a polynomial from a low-to-high coefficient sequence,
-        trimming trailing zeros."""
-        return IntPoly(tuple(int(a) for a in _trim(list(coeffs))))
+        trimming trailing zeros.  A coefficient that is not an integer
+        (a float, a Fraction) raises TypeError."""
+        return IntPoly(tuple(operator.index(a) for a in _trim(list(coeffs))))
 
     @staticmethod
     def constant(a: int) -> "IntPoly":
@@ -336,10 +339,13 @@ class CurveCover:
         return " + ".join(terms) if terms else "0"
 
 
+@functools.lru_cache(maxsize=None)
 def discriminant_in_u(cover: CurveCover) -> IntPoly:
-    """disc_u(g) as a polynomial in t, via specialization at integer points
-    and Lagrange interpolation.  Returns the zero polynomial when g is not
-    squarefree in u over Q(t)."""
+    """D(t) = disc_u(g) by specialization at integer points and Lagrange
+    interpolation, cached per cover; zero when g is not squarefree in u
+    over Q(t).  Where lc_u(n) != 0 and g(n, u) = c*f, D(n) = c^(2nu-2) *
+    disc(f) exactly: the discriminant is homogeneous of degree 2nu-2 in
+    the coefficients, and g(n, u) keeps degree nu."""
     nu = cover.nu
     bound = cover.deg_t() * (2 * nu - 1) + 1
     points: list[tuple[int, int]] = []

@@ -101,6 +101,10 @@ class RunConfig:
 
     def validate(self, command: str) -> None:
         """Every value range, for a run of the given subcommand."""
+        if command == "diversity":
+            for key in ("x", "epsilon", "k", "y", "window_lo", "window_hi", "d", "limit"):
+                if getattr(self, key) is not None:
+                    raise ConfigError(f"diversity does not read {key}; leave it unset")
         if self.mode not in ("paper", "override"):
             raise ConfigError(f"mode must be paper or override, got {self.mode!r}")
         if self.mode == "paper":

@@ -6,12 +6,12 @@ N/(log N)^(1-eta) benchmark.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import AlgebraError, CurveCover, IntPoly, critical_polynomial, poly_discriminant
+from .algebra import AlgebraError, CurveCover, IntPoly, critical_polynomial, discriminant_in_u, poly_discriminant
 from .factorization import (
     factor_integer,
     factor_over_Z,
@@ -45,7 +45,8 @@ def is_fiber_irreducible(cover: CurveCover, n: int) -> Optional[bool]:
     only at p = 2 and at odd p with (disc/p) = (-1)^(deg-1)); when no
     good prime certifies a cubic or higher fiber, the full factorization
     over Z decides.  None is reserved for budget-limited unknowns."""
-    return _analyze_fiber(cover, n).irreducible
+    f = fiber_poly(cover, n)
+    return _analyze_fiber(n, f, poly_discriminant(f), None).irreducible
 
 
 def _irreducible(f: IntPoly, disc: int) -> bool:
@@ -177,13 +178,10 @@ class CensusConfig:
     workers: int = 1
 
 
-def _analyze_fiber(cover: CurveCover, n: int, config: Optional[CensusConfig] = None) -> CensusRow:
-    """The per-fiber pipeline: specialize g(n, u) once, compute its
-    discriminant once, decide irreducibility, and fingerprint an
-    irreducible fiber when a census config is given.  A degenerate fiber
-    raises DegenerateFiberError."""
-    f = fiber_poly(cover, n)
-    disc = poly_discriminant(f)
+def _analyze_fiber(n: int, f: IntPoly, disc: int, config: Optional[CensusConfig]) -> CensusRow:
+    """The per-fiber pipeline, given fiber n's polynomial f and disc(f):
+    decide irreducibility, and fingerprint an irreducible fiber when a
+    census config is given."""
     irr = _irreducible(f, disc)
     fp = None
     if irr and config is not None:
@@ -195,13 +193,21 @@ def _analyze_fiber(cover: CurveCover, n: int, config: Optional[CensusConfig] = N
 _CENSUS_CHUNK = 25
 
 
-def _census_rows(cover: CurveCover, ns: range, config: Optional[CensusConfig]) -> list[CensusRow]:
+def _census_rows(cover: CurveCover, D: IntPoly, ns: range, config: Optional[CensusConfig]) -> list[CensusRow]:
+    """Rows for the fibers n in ns, given D = discriminant_in_u(cover): no
+    fiber needs a resultant.  With g(n, u) = c*f, f = fiber_poly(cover, n),
+    disc(f) = D(n)/c^(2nu-2) exactly, since the discriminant is homogeneous
+    of degree 2nu-2 in the coefficients and f keeps degree nu."""
     rows: list[CensusRow] = []
     for n in ns:
         try:
-            rows.append(_analyze_fiber(cover, n, config))
+            f = fiber_poly(cover, n)
         except DegenerateFiberError:
             rows.append(CensusRow(n=n, fiber_degree=-1, irreducible=None, fingerprint=None, new_field=False))
+            continue
+        disc, rem = divmod(D(n), (cover.lc_u(n) // f.lc) ** (2 * f.degree - 2))
+        assert rem == 0
+        rows.append(_analyze_fiber(n, f, disc, config))
     return rows
 
 
@@ -210,12 +216,14 @@ def run_census(cover: CurveCover, N: int, config: CensusConfig = CensusConfig())
     irreducible fibers, and count distinct fingerprints conservatively:
     a complete fingerprint counts when no complete one before it has its
     primes, a partial one only when no fingerprint before it, complete or
-    partial, has its known primes."""
+    partial, has its known primes.  D = disc_u(g) is computed once, and
+    fiber n's discriminant is D(n)/c^(2nu-2), exact (see _census_rows)."""
     if N < 10:
         raise ValueError("census needs N >= 10")
+    D = discriminant_in_u(cover)
     workers = max(1, config.workers)
     if workers == 1:
-        rows = _census_rows(cover, range(1, N + 1), config)
+        rows = _census_rows(cover, D, range(1, N + 1), config)
     else:
         # imported here: the process pool's modules would add ~25 ms to
         # every single-worker run's start-up
@@ -225,7 +233,7 @@ def run_census(cover: CurveCover, N: int, config: CensusConfig = CensusConfig())
         # worker is free keep the workers evenly loaded
         chunks = [range(lo, min(lo + _CENSUS_CHUNK, N + 1)) for lo in range(1, N + 1, _CENSUS_CHUNK)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            shards = pool.map(_census_rows, itertools.repeat(cover), chunks, itertools.repeat(config))
+            shards = pool.map(functools.partial(_census_rows, cover, D, config=config), chunks)
             rows = [r for shard in shards for r in shard]
 
     complete_seen: set[tuple[int, ...]] = set()
@@ -275,4 +283,5 @@ def run_census(cover: CurveCover, N: int, config: CensusConfig = CensusConfig())
 
 def count_reducible_fibers(cover: CurveCover, N: int) -> int:
     """Reducible-fiber count over n = 1..N (degenerate fibers excluded)."""
-    return sum(row.irreducible is False for row in _census_rows(cover, range(1, N + 1), None))
+    rows = _census_rows(cover, discriminant_in_u(cover), range(1, N + 1), None)
+    return sum(row.irreducible is False for row in rows)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -29,6 +31,15 @@ def to_sympy(f):
 nonzero_poly = st.lists(st.integers(-50, 50), min_size=1, max_size=7).filter(
     lambda c: any(c)
 )
+
+
+class TestIntPolyOf:
+    def test_non_integer_coefficients_are_rejected(self):
+        # int() would truncate 2.7 to 2, and 0.9999999999999999 to a
+        # leading zero
+        for coeffs in ([2.7, 1], [1, 3, 0.9999999999999999], [Fraction(1, 2), 1]):
+            with pytest.raises(TypeError):
+                IntPoly.of(coeffs)
 
 
 class TestResultant:

@@ -141,6 +141,15 @@ class TestConfigErrors:
         ("analyze", "x", "inf", ()),
         ("sieve", "y", "nan", ("--x", "1e4", "--mode", "override", "--k", "1",
                                "--window-lo", "50", "--window-hi", "100")),
+        # keys the census never reads
+        ("diversity", "x", "1e4", ("--N", "20")),
+        ("diversity", "epsilon", "0.1", ("--N", "20")),
+        ("diversity", "k", "2", ("--N", "20")),
+        ("diversity", "y", "5", ("--N", "20")),
+        ("diversity", "window_lo", "50", ("--N", "20")),
+        ("diversity", "window_hi", "100", ("--N", "20")),
+        ("diversity", "d", "3", ("--N", "20")),
+        ("diversity", "limit", "20000", ("--N", "20")),
     ]
 
     @pytest.mark.parametrize("command, key, text, extra", CASES)
@@ -160,6 +169,8 @@ class TestConfigErrors:
         assert "paper or override" in run(capsys, "analyze", "--mode", "bogus")[2]
         assert "x > e" in run(capsys, "sieve", *self.COVER, "--x", "2")[2]
         assert "epsilon must lie in (0, 0.5]" in run(capsys, "analyze", "--epsilon", "0.7")[2]
+        err = run(capsys, "diversity", *self.COVER, "--N", "20", "--mode", "override", "--k", "2")[2]
+        assert "diversity does not read k" in err
 
     def test_unknown_config_key(self, tmp_path, capsys):
         # a RunConfig method is not a key
@@ -354,6 +365,28 @@ class TestDiversityCommand:
         b = (tmp_path / "b" / "census.csv").read_bytes()
         assert a == b
         assert b"\r" not in a  # LF line endings
+
+    # sha256 of census.csv and of stdout with the output directory masked,
+    # recorded before fiber discriminants were read off disc_u(g)
+    PINNED = [
+        ("u^3 - t*u - t", "2000",
+         "358893798b5bc2244f56aa88f2345ff1d3c8028e68f9f3aa9cda3328f401d59f",
+         "fba0f8bcbe1ca706900f0bf51bbaf4415b93e8425b90698a5f52e4b9b86329ac"),
+        ("2*u^4 - t^2*u + 3", "200",
+         "1caf98bd98e278148d143787f484595b48f75478e1ccbef3440dfd701146bc45",
+         "5e5ce692fae7413aa2f8fa902ee3bf67acc9f53acc8284d7f8dda6253e9d8fe3"),
+    ]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("cover, N, csv_digest, out_digest", PINNED)
+    def test_census_outputs_are_pinned(self, tmp_path, capsys, workers, cover, N, csv_digest, out_digest):
+        code, out, _ = run(
+            capsys, "diversity", "--cover", cover, "--N", N,
+            "--workers", workers, "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert hashlib.sha256((tmp_path / "census.csv").read_bytes()).hexdigest() == csv_digest
+        assert hashlib.sha256(out.replace(str(tmp_path), "<out>").encode()).hexdigest() == out_digest
 
     def test_config_file_drive(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

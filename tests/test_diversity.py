@@ -3,9 +3,13 @@ import random
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import divlab.algebra as algebra
+import divlab.diversity as diversity
 from conftest import squarefree_kernel_table
-from divlab.algebra import AlgebraError, IntPoly, parse_cover, poly_discriminant
+from divlab.algebra import AlgebraError, CurveCover, IntPoly, parse_cover, poly_discriminant
 from divlab.diversity import (
     CensusConfig,
     DegenerateFiberError,
@@ -74,10 +78,46 @@ class TestIrreducibility:
         assert reducible == [k**3 for k in range(1, 11)]
 
 
-class TestFiberPipeline:
-    def test_one_specialization_and_one_discriminant_per_fiber(self, monkeypatch):
-        import divlab.diversity as diversity
+@st.composite
+def random_covers(draw):
+    """Covers with nu = 2..5 and deg_t <= 3, signed coefficients, and
+    possibly a content c(t) and a leading u-coefficient that vanishes at
+    some n in 1..60 (degenerate fibers)."""
+    nu = draw(st.integers(2, 5))
+    coeff = st.integers(-9, 9)
+    cols = [IntPoly.of(draw(st.lists(coeff, min_size=1, max_size=3))) for _ in range(nu + 1)]
+    assume(not cols[-1].is_zero)
+    if draw(st.booleans()):
+        cols[-1] = cols[-1] * IntPoly.of([-draw(st.integers(1, 60)), 1])
+    content = IntPoly.of([draw(coeff), draw(st.integers(-3, 3))])
+    assume(not content.is_zero)
+    return CurveCover.of([c * content for c in cols])
 
+
+class TestFiberPipeline:
+    @settings(max_examples=150, deadline=None)
+    @given(random_covers())
+    def test_census_discriminants_match_the_resultant(self, cover):
+        # the census reads fiber n's discriminant off D = disc_u(g) as
+        # D(n)/c^(2nu-2); each must equal the resultant-based one
+        seen = []
+        analyze = diversity._analyze_fiber
+
+        def checked(n, f, disc, config):
+            assert f == fiber_poly(cover, n) and f.degree == cover.nu
+            assert disc == poly_discriminant(f)
+            seen.append(n)
+            return analyze(n, f, disc, config)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diversity, "_analyze_fiber", checked)
+            count_reducible_fibers(cover, 60)
+        assert seen == [n for n in range(1, 61) if cover.lc_u(n) != 0]
+
+    def test_one_specialization_and_one_discriminant_per_fiber(self, monkeypatch):
+        # one fiber_poly per fiber, no resultant per fiber: the census
+        # evaluates D = discriminant_in_u(cover) once per run, and the
+        # eta step's critical_polynomial reuses it
         calls = {"fiber_poly": 0, "poly_discriminant": 0}
         for name in calls:
             original = getattr(diversity, name)
@@ -87,9 +127,15 @@ class TestFiberPipeline:
                 return _original(*args)
 
             monkeypatch.setattr(diversity, name, counted)
-        census = run_census(parse_cover("u^3 - t*u - t"), 200, CensusConfig(eta=0.001))
-        assert len(census.per_n) == 200 and census.skipped == ()
-        assert calls == {"fiber_poly": 200, "poly_discriminant": 200}
+        cover = parse_cover("u^3 - t*u - t")
+        for workers in (1, 2):
+            algebra.discriminant_in_u.cache_clear()
+            census = run_census(cover, 200, CensusConfig(workers=workers))
+            assert len(census.per_n) == 200 and census.skipped == ()
+            assert algebra.discriminant_in_u.cache_info().misses == 1
+            if workers == 1:
+                # worker processes keep their own counts
+                assert calls == {"fiber_poly": 200, "poly_discriminant": 0}
 
     # degree >= 4 fibers: the distinct-degree irreducibility test runs only
     # at primes that can certify
@@ -102,8 +148,6 @@ class TestFiberPipeline:
         return pow(disc % p, (p - 1) // 2, p) == (1 if f.degree % 2 else p - 1)
 
     def test_rabin_skips_primes_with_the_wrong_discriminant_symbol(self, monkeypatch):
-        import divlab.diversity as diversity
-
         tried = []
 
         def counted(f, p):
