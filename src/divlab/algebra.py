@@ -87,10 +87,6 @@ class IntPoly:
         (a float, a Fraction) raises TypeError."""
         return IntPoly(tuple(operator.index(a) for a in _trim(list(coeffs))))
 
-    @staticmethod
-    def constant(a: int) -> "IntPoly":
-        return IntPoly.of([a])
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -129,11 +125,6 @@ class IntPoly:
 
     def __mul__(self, other: "IntPoly") -> "IntPoly":
         return IntPoly.of(_zmul(self.coeffs, other.coeffs))
-
-    def scale(self, a: int) -> "IntPoly":
-        if a == 0:
-            return IntPoly(())
-        return IntPoly(tuple(c * a for c in self.coeffs))
 
     def shift_arg(self, c: int) -> "IntPoly":
         """Return f(T + c)."""
@@ -274,7 +265,7 @@ def squarefree_primitive_part(f: IntPoly) -> IntPoly:
     if f.is_zero:
         raise AlgebraError("zero polynomial has no squarefree part")
     if f.degree == 0:
-        return IntPoly.constant(1)
+        return IntPoly.of([1])
     g = poly_gcd(f, f.derivative())
     out = f.primitive_part().exact_div(g) if g.degree > 0 else f
     return out.primitive_part()
@@ -321,22 +312,6 @@ class CurveCover:
 
     def deg_t(self) -> int:
         return max(f.degree for f in self.coeffs_u)
-
-    def __str__(self) -> str:
-        terms = []
-        for j in range(self.nu, -1, -1):
-            f = self.coeffs_u[j]
-            if f.is_zero:
-                continue
-            upart = "" if j == 0 else ("u" if j == 1 else f"u^{j}")
-            tpart = format_poly(f, "t")
-            if upart and tpart == "1":
-                terms.append(upart)
-            elif upart:
-                terms.append(f"({tpart})*{upart}")
-            else:
-                terms.append(tpart)
-        return " + ".join(terms) if terms else "0"
 
 
 @functools.lru_cache(maxsize=None)

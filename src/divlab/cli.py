@@ -102,9 +102,11 @@ class RunConfig:
     def validate(self, command: str) -> None:
         """Every value range, for a run of the given subcommand."""
         if command == "diversity":
-            for key in ("x", "epsilon", "k", "y", "window_lo", "window_hi", "d", "limit"):
-                if getattr(self, key) is not None:
-                    raise ConfigError(f"diversity does not read {key}; leave it unset")
+            # a key the census never reads must keep its default
+            unread = ("x", "epsilon", "k", "y", "window_lo", "window_hi", "tail", "d", "limit", "seed")
+            for f in fields(self):
+                if f.name in unread and getattr(self, f.name) != f.default:
+                    raise ConfigError(f"diversity does not read {f.name}; leave it unset")
         if self.mode not in ("paper", "override"):
             raise ConfigError(f"mode must be paper or override, got {self.mode!r}")
         if self.mode == "paper":
@@ -310,12 +312,7 @@ def cmd_diversity(cfg: RunConfig) -> int:
     census = run_census(
         cover,
         cfg.N,
-        CensusConfig(
-            effort=cfg.budget,
-            eta=None,
-            delta=cfg.delta,
-            workers=cfg.workers,
-        ),
+        CensusConfig(effort=cfg.budget, delta=cfg.delta, workers=cfg.workers),
     )
     rows = [
         [
@@ -345,7 +342,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     F = critical_polynomial(cover)
     hard_failures = 0
 
-    shift = lemma_shift_suite(trials=1000, seed=cfg.seed)
+    shift = lemma_shift_suite(seed=cfg.seed)
     ok = shift.lemma_violations == 0
     hard_failures += not ok
     print(
@@ -354,7 +351,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         f"max shift {shift.max_shift}: {'pass' if ok else 'FAIL'}"
     )
 
-    rho = rho_brute_force_suite(trials=200, seed=cfg.seed)
+    rho = rho_brute_force_suite(seed=cfg.seed)
     ok = not rho.mismatches
     hard_failures += not ok
     print(

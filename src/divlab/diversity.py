@@ -94,22 +94,22 @@ class FieldFingerprint:
 
 
 # trial-division bound for fiber discriminants, and the sieve limit that
-# measures delta when the census derives eta
+# measures delta for the census's eta
 _TRIAL_BOUND = 10_000
 _DELTA_SIEVE_LIMIT = 10_000
 
 
-def fingerprint(fpoly: IntPoly, trial_bound: int = _TRIAL_BOUND, effort: int = 1_000_000) -> FieldFingerprint:
+def fingerprint(fpoly: IntPoly, effort: int = 1_000_000) -> FieldFingerprint:
     """Odd-valuation primes of disc(fpoly).  An unfactored cofactor that
     is a perfect square cannot change any parity; otherwise the
     fingerprint is marked incomplete."""
-    return _fingerprint(poly_discriminant(fpoly), trial_bound, effort)
+    return _fingerprint(poly_discriminant(fpoly), effort)
 
 
-def _fingerprint(disc: int, trial_bound: int, effort: int) -> FieldFingerprint:
+def _fingerprint(disc: int, effort: int) -> FieldFingerprint:
     if disc == 0:
         raise AlgebraError("zero discriminant: polynomial is not separable")
-    fact = factor_integer(disc, trial_bound=trial_bound, effort=effort)
+    fact = factor_integer(disc, trial_bound=_TRIAL_BOUND, effort=effort)
     odd = tuple(sorted(p for p, e in fact.factors if e % 2 == 1))
     complete = fact.complete
     if not complete:
@@ -123,24 +123,16 @@ def _fingerprint(disc: int, trial_bound: int, effort: int) -> FieldFingerprint:
 class EtaReport:
     epsilon: float
     eta: float
-    unconditional_eta: Optional[float]  # from genus and cover degree, if given
 
 
-def eta_exponent(d: int, delta: float, genus: Optional[int] = None, nu: Optional[int] = None) -> EtaReport:
-    """eta = delta * epsilon / 2 with epsilon = 1/(1000 log(2d)); the
-    unconditional constant 1e-6/((g+nu) log(g+nu)) is reported when the
-    genus is supplied."""
+def eta_exponent(d: int, delta: float) -> EtaReport:
+    """eta = delta * epsilon / 2 with epsilon = 1/(1000 log(2d))."""
     if d < 1:
         raise ValueError("d must be at least 1")
     if not (0 < delta <= 1):
         raise ValueError("delta must lie in (0, 1]")
     epsilon = default_epsilon(d)
-    eta = delta * epsilon / 2.0
-    unconditional = None
-    if genus is not None and nu is not None:
-        s = genus + nu
-        unconditional = 1e-6 / (s * math.log(s))
-    return EtaReport(epsilon=epsilon, eta=eta, unconditional_eta=unconditional)
+    return EtaReport(epsilon=epsilon, eta=delta * epsilon / 2.0)
 
 
 @dataclass(frozen=True)
@@ -173,7 +165,6 @@ class DiversityCensus:
 @dataclass(frozen=True)
 class CensusConfig:
     effort: int = 1_000_000
-    eta: Optional[float] = None  # computed from (d, delta) when absent
     delta: Optional[float] = None  # defaults to the measured density
     workers: int = 1
 
@@ -185,7 +176,7 @@ def _analyze_fiber(n: int, f: IntPoly, disc: int, config: Optional[CensusConfig]
     irr = _irreducible(f, disc)
     fp = None
     if irr and config is not None:
-        fp = _fingerprint(disc, _TRIAL_BOUND, config.effort)
+        fp = _fingerprint(disc, config.effort)
     return CensusRow(n=n, fiber_degree=f.degree, irreducible=irr, fingerprint=fp, new_field=False)
 
 
@@ -217,9 +208,17 @@ def run_census(cover: CurveCover, N: int, config: CensusConfig = CensusConfig())
     a complete fingerprint counts when no complete one before it has its
     primes, a partial one only when no fingerprint before it, complete or
     partial, has its known primes.  D = disc_u(g) is computed once, and
-    fiber n's discriminant is D(n)/c^(2nu-2), exact (see _census_rows)."""
+    fiber n's discriminant is D(n)/c^(2nu-2), exact (see _census_rows).
+    eta comes first, from F = critical_polynomial(cover) and delta
+    (measured on F unless the config sets it), so a degenerate cover
+    raises before any fiber is specialized."""
     if N < 10:
         raise ValueError("census needs N >= 10")
+    F = critical_polynomial(cover)
+    delta = config.delta
+    if delta is None:
+        delta = float(build_PF(F, _DELTA_SIEVE_LIMIT).delta_hat)
+    eta = eta_exponent(F.degree, delta).eta
     D = discriminant_in_u(cover)
     workers = max(1, config.workers)
     if workers == 1:
@@ -263,14 +262,6 @@ def run_census(cover: CurveCover, N: int, config: CensusConfig = CensusConfig())
         if new:
             distinct += 1
         final.append(CensusRow(row.n, row.fiber_degree, True, fp, new))
-
-    eta = config.eta
-    if eta is None:
-        F = critical_polynomial(cover)
-        delta = config.delta
-        if delta is None:
-            delta = float(build_PF(F, _DELTA_SIEVE_LIMIT).delta_hat)
-        eta = eta_exponent(F.degree, delta).eta
     return DiversityCensus(
         N=N,
         per_n=tuple(final),

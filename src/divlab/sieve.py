@@ -11,7 +11,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 from .algebra import AlgebraError, IntPoly, poly_discriminant
 from .factorization import factor_integer, has_root_mod_p
@@ -88,13 +88,13 @@ class DensityFloorReport:
     passed: bool
 
 
-def check_density_floor(sieve: ChebotarevSieve, d: int, slack: float = 0.05) -> DensityFloorReport:
-    """Check that the measured density clears 1/d, up to finite-sample
-    slack."""
+def check_density_floor(sieve: ChebotarevSieve, d: int) -> DensityFloorReport:
+    """Check that the measured density clears 1/d, up to a finite-sample
+    slack of 0.05."""
     if sieve.total_primes < 100:
         raise ValueError("sieve limit too small: need at least 100 primes")
     dh = float(sieve.delta_hat)
-    floor = 1.0 / d
+    floor, slack = 1.0 / d, 0.05
     margin = dh - (floor - slack)
     return DensityFloorReport(
         delta_hat=dh, floor=floor, slack=slack, margin=margin, passed=margin >= 0
@@ -300,27 +300,3 @@ def check_MF_membership(m: int, sieve: ChebotarevSieve, params: DiversityParams)
     if not params.tail_ok(primes[-1]):
         return False
     return params.lo_int <= m <= params.hi_int
-
-
-@dataclass(frozen=True)
-class MFCardinalityRow:
-    x: float
-    count: int
-    fitted_exponent: float  # log |MF(x)| / log x, 0 when empty
-    mode: str
-
-
-def report_MF_cardinality(
-    sieve: ChebotarevSieve, params_for_x, xs: Iterable[float]
-) -> list[MFCardinalityRow]:
-    """Tabulate |MF(x)| and the fitted exponent over a series of x values.
-    `params_for_x` maps x to a DiversityParams."""
-    rows = []
-    for x in xs:
-        params = params_for_x(x)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            count = len(enumerate_MF(sieve, params))
-        exp = math.log(count) / math.log(x) if count else 0.0
-        rows.append(MFCardinalityRow(x=x, count=count, fitted_exponent=exp, mode=params.mode))
-    return rows

@@ -1,8 +1,7 @@
 """The ramification core: root counting mod squarefree m, CRT root
 lifting, the exact-divisor shift lemma, primitive witnesses, empirical
 verification of the supporting divisibility properties, greedy/generous
-classification, prime-count windows, the heavy-n scan and clique
-detection.
+classification and clique detection.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ import itertools
 import math
 import random
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .algebra import IntPoly, poly_discriminant
@@ -224,7 +223,11 @@ class PropertyCReport:
     violations: tuple[int, ...]  # the offending n values
 
 
-def verify_property_C(F: IntPoly, p: int, trials: int = 10) -> PropertyCReport:
+# candidate n per prime that verify_property_C checks
+_C_TRIALS = 10
+
+
+def verify_property_C(F: IntPoly, p: int) -> PropertyCReport:
     """For n with p^2 | F(n), check that p || F(n+p).  Candidate n are
     produced by Hensel-lifting the simple roots of F mod p."""
     disc = poly_discriminant(F)
@@ -239,15 +242,15 @@ def verify_property_C(F: IntPoly, p: int, trials: int = 10) -> PropertyCReport:
         fp = dF(r) % p
         # simple root (guaranteed since p does not divide disc)
         lift = (r - F(r) * pow(fp, -1, p)) % p2
-        for j in range(trials):
+        for j in range(_C_TRIALS):
             n = lift + j * p2
-            if n == 0 or checked >= trials:
+            if n == 0 or checked >= _C_TRIALS:
                 continue
             assert F(n) % p2 == 0
             checked += 1
             if not exact_divides(p, F(n + p)):
                 violations.append(n)
-        if checked >= trials:
+        if checked >= _C_TRIALS:
             break
     return PropertyCReport(p=p, checked=checked, violations=tuple(violations))
 
@@ -291,13 +294,7 @@ class PropertyEReport:
     threshold: int  # smallest n0 such that no violation occurs at n >= n0
 
 
-def verify_property_E(
-    F: IntPoly,
-    n_lo: int,
-    n_hi: int,
-    trial_bound: int = 1000,
-    effort: int = 200_000,
-) -> PropertyEReport:
+def verify_property_E(F: IntPoly, n_lo: int, n_hi: int, effort: int = 200_000) -> PropertyEReport:
     """Count the prime divisors of F(n) that are >= n/4; above a small-n
     threshold there should be at most deg(F) of them."""
     d = F.degree
@@ -307,7 +304,7 @@ def verify_property_E(
         v = F(n)
         if v == 0:
             continue
-        fact = factor_integer(v, trial_bound=trial_bound, effort=effort)
+        fact = factor_integer(v, trial_bound=1000, effort=effort)
         count = sum(1 for p in fact.primes if 4 * p >= n)
         if not fact.complete and 4 * fact.cofactor >= n:
             indeterminate.append(n)
@@ -327,7 +324,7 @@ def verify_property_E(
 
 
 # ---------------------------------------------------------------------------
-# greedy/generous classification and prime-count windows
+# greedy/generous classification and cliques
 
 @dataclass(frozen=True)
 class GreedyStats:
@@ -368,73 +365,6 @@ def classify_greedy(witnesses: Iterable[WitnessRecord], d: int) -> GreedyStats:
     )
 
 
-def classify_omega(
-    F: IntPoly,
-    n: int,
-    params: DiversityParams,
-    trial_bound: int = 10_000,
-    effort: int = 1_000_000,
-) -> str:
-    """Bucket n by the number of distinct prime factors of F(n) inside
-    [y, x]: 'enormous', 'large', 'reasonable', or 'indeterminate' when the
-    factorization is incomplete."""
-    v = F(n)
-    if v == 0:
-        return "reasonable"
-    fact = factor_integer(v, trial_bound=trial_bound, effort=effort)
-    count = sum(1 for p in fact.primes if params.y <= p <= params.x)
-    if not fact.complete and fact.cofactor >= params.y:
-        # unknown factors could land inside [y, x]
-        return "indeterminate"
-    llx = math.log(math.log(params.x))
-    d = params.d
-    if count >= 3 * d * llx * llx:
-        return "enormous"
-    if count >= 1e5 * d * d * llx:
-        return "large"
-    return "reasonable"
-
-
-# ---------------------------------------------------------------------------
-# heavy-n scan and cliques
-
-@dataclass(frozen=True)
-class HeavyScanResult:
-    threshold: int
-    heavy: tuple[int, ...]
-    density: float
-    counts: dict[int, int] = field(repr=False, hash=False, compare=False, default_factory=dict)
-
-
-def heavy_n_scan(
-    F: IntPoly,
-    mf: Sequence[MFElement],
-    x: int,
-    d: int,
-    threshold: Optional[int] = None,
-) -> HeavyScanResult:
-    """Find n <= x such that more than `threshold` (default 6d) elements
-    of the set divide F(n).  Inverts the loop: for each m the hitting n
-    form rho_F(m) arithmetic progressions mod m."""
-    if threshold is None:
-        threshold = 6 * d
-    counts: dict[int, int] = defaultdict(int)
-    roots = _root_table(F, (p for e in mf for p in e.primes))
-    for e in mf:
-        for r in _crt_residues(e.primes, e.m, roots):
-            n = r if r > 0 else e.m
-            while n <= x:
-                counts[n] += 1
-                n += e.m
-    heavy = tuple(sorted(n for n, c in counts.items() if c > threshold))
-    return HeavyScanResult(
-        threshold=threshold,
-        heavy=heavy,
-        density=len(heavy) / x if x else 0.0,
-        counts=dict(counts),
-    )
-
-
 class CliqueRecord(NamedTuple):
     """Three distinct cofactors sharing one large prime, all of whose
     products lie in the set.  A record is its `cliques.csv` row:
@@ -446,20 +376,13 @@ class CliqueRecord(NamedTuple):
     m3: int
     kind: str  # "proper-lcm" (some pairwise lcm is proper) | "equal-lcm"
 
-    @property
-    def relations_hold(self) -> bool:
-        """Pairwise 2:1 size ratio and gcd < m < lcm, computed on access."""
-        return _clique_relations_hold((self.m1, self.m2, self.m3))
-
 
 def find_cliques(mf: Sequence[MFElement]) -> tuple[CliqueRecord, ...]:
     """Group the set by largest prime and emit every triple of distinct
     cofactors sharing a P, in P order and then in `itertools.combinations`
     order over the sorted cofactors; each record is a `cliques.csv` row.
     A trio is "equal-lcm" when its three pairwise lcms agree (their common
-    value is then the lcm of all three).  The pairwise size-ratio and
-    gcd/lcm relations hold automatically for half-windows and are computed
-    when `relations_hold` is read; wide override windows can break them."""
+    value is then the lcm of all three)."""
     by_P: dict[int, set[int]] = defaultdict(set)
     for e in mf:
         by_P[e.P].add(e.m1)
@@ -488,14 +411,14 @@ class ShiftSuiteReport:
     max_shift: int
 
 
-def lemma_shift_suite(trials: int = 1000, seed: int = 0) -> ShiftSuiteReport:
-    """Random separable F of degree <= 4 and random squarefree m built
-    from 2-3 usable primes; every instance must admit an exact-divisor
-    shift l <= omega(m)."""
+def lemma_shift_suite(seed: int = 0) -> ShiftSuiteReport:
+    """1000 random separable F of degree <= 4, each with a random
+    squarefree m built from 2-3 usable primes; every instance must admit
+    an exact-divisor shift l <= omega(m)."""
     rng = random.Random(seed)
     done = skipped = violations = 0
     max_shift = 0
-    while done < trials:
+    while done < 1000:
         deg = rng.randint(1, 4)
         F = IntPoly.of([rng.randint(-30, 30) for _ in range(deg)] + [rng.randint(1, 9)])
         if F.degree < 1:
@@ -533,21 +456,22 @@ class RhoSuiteReport:
     mismatches: tuple[tuple[tuple[int, ...], int], ...]  # (F coeffs, m)
 
 
-def rho_brute_force_suite(trials: int = 200, seed: int = 0, m_cap: int = 10_000) -> RhoSuiteReport:
+def rho_brute_force_suite(seed: int = 0) -> RhoSuiteReport:
     """Cross-check the multiplicative root count against direct counting
-    of roots mod m (a separate code path)."""
+    of roots mod m (a separate code path) on 200 random F, each with a
+    random squarefree m <= 10^4."""
     rng = random.Random(seed)
     small_primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
     done = 0
     mismatches = []
-    while done < trials:
+    while done < 200:
         deg = rng.randint(1, 4)
         F = IntPoly.of([rng.randint(-30, 30) for _ in range(deg)] + [rng.randint(1, 9)])
         if F.degree < 1:
             continue
         m = 1
         for p in rng.sample(small_primes, rng.randint(1, 3)):
-            if m * p <= m_cap and math.gcd(F.content(), p) == 1:
+            if m * p <= 10_000 and math.gcd(F.content(), p) == 1:
                 m *= p
         if m == 1:
             continue
@@ -556,12 +480,3 @@ def rho_brute_force_suite(trials: int = 200, seed: int = 0, m_cap: int = 10_000)
             mismatches.append((F.coeffs, m))
         done += 1
     return RhoSuiteReport(instances=done, mismatches=tuple(mismatches))
-
-
-def _clique_relations_hold(trio: tuple[int, int, int]) -> bool:
-    for a, b in itertools.permutations(trio, 2):
-        if not (b <= 2 * a and a <= 2 * b):
-            return False
-        if not (math.gcd(a, b) < a < math.lcm(a, b)):
-            return False
-    return True

@@ -77,7 +77,7 @@ def test_criterion_03_shift_lemma_suite():
     """10^3 randomized precondition-satisfying instances all yield a
     shift l <= omega(m), no LemmaViolation, under 30 s."""
     start = time.monotonic()
-    rep = lemma_shift_suite(trials=1000, seed=0)
+    rep = lemma_shift_suite(seed=0)
     elapsed = time.monotonic() - start
     ok = rep.instances == 1000 and rep.lemma_violations == 0 and elapsed < 30
     report(
@@ -90,7 +90,7 @@ def test_criterion_03_shift_lemma_suite():
 def test_criterion_04_rho_correctness():
     """200 random (F, m), m <= 10^4: multiplicative count equals
     brute-force root counting mod m."""
-    rep = rho_brute_force_suite(trials=200, seed=0, m_cap=10**4)
+    rep = rho_brute_force_suite(seed=0)
     ok = rep.instances == 200 and not rep.mismatches
     report(4, ok, f"{rep.instances} instances, {len(rep.mismatches)} mismatches")
 
@@ -201,7 +201,7 @@ def test_criterion_09_properties_CDE():
         sieve = build_PF(F, 10**4)
         c_viol = 0
         for p in sieve.primes_in_PF:
-            c_viol += len(verify_property_C(F, p, trials=5).violations)
+            c_viol += len(verify_property_C(F, p).violations)
         d_rep = verify_property_D(sieve)
         e_rep = verify_property_E(F, 1, 10**4)
         e_above = [n for n, _ in e_rep.violations if n >= e_rep.threshold]

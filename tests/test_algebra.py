@@ -191,7 +191,7 @@ class TestCover:
         # u^2 - h(t): genus floor((deg h - 1)/2), deg F <= 2g - 2 + 2*nu
         for h_coeffs in ([0, 2, -3, 1], [2, 0, 0, 0, 0, 1], [-1, 3, 0, 1]):
             h = IntPoly.of(h_coeffs)
-            cover = CurveCover.of([h.scale(-1), IntPoly.of([]), IntPoly.of([1])])
+            cover = CurveCover.of([-h, IntPoly.of([]), IntPoly.of([1])])
             g = (h.degree - 1) // 2
             assert critical_polynomial(cover).degree <= 2 * g - 2 + 2 * 2 + 1
 

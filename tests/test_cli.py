@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import divlab.cli
+import divlab.diversity
 from divlab.cli import ConfigError, RunConfig, build_parser, load_config, main, merge_flags
 from divlab.sieve import MFElement
 from divlab.witnesses import find_cliques
@@ -150,6 +151,8 @@ class TestConfigErrors:
         ("diversity", "window_hi", "100", ("--N", "20")),
         ("diversity", "d", "3", ("--N", "20")),
         ("diversity", "limit", "20000", ("--N", "20")),
+        ("diversity", "tail", "off", ("--N", "20")),
+        ("diversity", "seed", "5", ("--N", "20")),
     ]
 
     @pytest.mark.parametrize("command, key, text, extra", CASES)
@@ -171,6 +174,8 @@ class TestConfigErrors:
         assert "epsilon must lie in (0, 0.5]" in run(capsys, "analyze", "--epsilon", "0.7")[2]
         err = run(capsys, "diversity", *self.COVER, "--N", "20", "--mode", "override", "--k", "2")[2]
         assert "diversity does not read k" in err
+        err = run(capsys, "diversity", *self.COVER, "--N", "20", "--tail", "1/2")[2]
+        assert "diversity does not read tail" in err
 
     def test_unknown_config_key(self, tmp_path, capsys):
         # a RunConfig method is not a key
@@ -387,6 +392,23 @@ class TestDiversityCommand:
         assert code == 0
         assert hashlib.sha256((tmp_path / "census.csv").read_bytes()).hexdigest() == csv_digest
         assert hashlib.sha256(out.replace(str(tmp_path), "<out>").encode()).hexdigest() == out_digest
+
+    @pytest.mark.parametrize("cover, message", [
+        ("u^2 - 2*t*u + t^2", "cover is not squarefree in u over Q(t)"),
+        ("u^2 - 2", "family has no finite critical value in this model"),
+    ])
+    def test_degenerate_cover_stops_before_the_first_fiber(self, tmp_path, capsys, monkeypatch, cover, message):
+        specialized = []
+        fiber_poly = divlab.diversity.fiber_poly
+
+        def counted(cover, n):
+            specialized.append(n)
+            return fiber_poly(cover, n)
+
+        monkeypatch.setattr(divlab.diversity, "fiber_poly", counted)
+        code, out, err = run(capsys, "diversity", "--cover", cover, "--N", "20000", "--out", str(tmp_path))
+        assert (code, out, err) == (2, "", f"degenerate input: {message}\n")
+        assert specialized == [] and not (tmp_path / "census.csv").exists()
 
     def test_config_file_drive(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

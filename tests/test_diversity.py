@@ -245,10 +245,6 @@ class TestEta:
         with pytest.raises(ValueError):
             eta_exponent(1, 0.0)
 
-    def test_unconditional_variant(self):
-        rep = eta_exponent(1, 1.0, genus=0, nu=2)
-        assert rep.unconditional_eta == pytest.approx(1e-6 / (2 * math.log(2)))
-
 
 class TestCensus:
     def test_quadratic_hundred(self):
@@ -289,7 +285,7 @@ class TestCensus:
         assert lone.distinct_lower_bound == quad.distinct_lower_bound
         # workers pull small chunks of fibers in whatever order they finish
         for text, N in (("u^3 - t*u - t", 300), ("2*u^4 - t^2*u + 3", 60)):
-            runs = [run_census(parse_cover(text), N, CensusConfig(workers=w, eta=0.01))
+            runs = [run_census(parse_cover(text), N, CensusConfig(workers=w))
                     for w in (1, 2, 3)]
             assert runs[0].per_n == runs[1].per_n == runs[2].per_n
             assert len({r.distinct_lower_bound for r in runs}) == 1
@@ -318,7 +314,7 @@ class TestCensus:
 
     def test_partial_fingerprints_follow_the_known_prime_rule(self):
         # a rho budget of 200 leaves about a third of these fingerprints partial
-        census = run_census(parse_cover("2*u^4 - t^2*u + 3"), 300, CensusConfig(effort=200, eta=0.01))
+        census = run_census(parse_cover("2*u^4 - t^2*u + 3"), 300, CensusConfig(effort=200))
         partial = [r for r in census.per_n if r.fingerprint is not None and not r.fingerprint.complete]
         assert len(partial) == 104
         flags = self.known_prime_flags(census.per_n)

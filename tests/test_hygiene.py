@@ -1,18 +1,23 @@
-"""Source hygiene: every name a divlab module imports is used in it, and
+"""Source hygiene: every name a divlab module imports is used in it,
 every module-private function or class is referenced somewhere in the
-package other than its own body.
+package other than its own body, and every name the package exports or
+the benchmark's tracer rebinds exists.
 
 Stdlib only.  The package's __init__.py is exempt from the import check,
 since its imports are re-exports.
 """
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "divlab"
+import divlab
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "divlab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -89,3 +94,30 @@ def test_private_detector():
     )
     b = "from .a import _imported\n"
     assert unreferenced_private({"a.py": a, "b.py": b}) == ["a.py: _recursive", "a.py: _Orphan"]
+
+
+def traced_names() -> list[str]:
+    """The `layer.fn` keys of the TRACED table in perfbench/spans.py, read
+    with ast: the tracer module itself is never imported here."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TRACED" for t in node.targets):
+            return [ast.literal_eval(key) for key in node.value.keys]
+    raise AssertionError("perfbench/spans.py has no TRACED table")
+
+
+def test_traced_names_resolve():
+    # `perfbench/run.py --trace 1` rebinds each of these by name, and a
+    # missing one stops the traced run
+    names = traced_names()
+    assert names
+    missing = []
+    for name in names:
+        layer, fn = name.split(".")
+        if not hasattr(importlib.import_module(f"divlab.{layer}"), fn):
+            missing.append(name)
+    assert missing == []
+
+
+def test_exported_names_resolve():
+    assert [name for name in divlab.__all__ if not hasattr(divlab, name)] == []
