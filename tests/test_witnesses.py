@@ -299,6 +299,20 @@ class TestCliques:
         (rec,) = find_cliques(mf)
         assert rec.kind == "proper-lcm"
 
+    def test_half_window_relations_hold(self):
+        # cofactors drawn from a [c, 2c) window satisfy the pairwise size
+        # ratio and gcd < m < lcm relations by construction
+        P = 997
+        cofactors = (10, 14, 15, 19)
+        mf = [MFElement(c * P, (c, P)) for c in cofactors]
+        got = find_cliques(mf)
+        assert [(r.m1, r.m2, r.m3) for r in got] == list(itertools.combinations(cofactors, 3))
+        for rec in got:
+            assert rec.P == P
+            for u, v in itertools.combinations((rec.m1, rec.m2, rec.m3), 2):
+                assert v <= 2 * u and u <= 2 * v
+                assert math.gcd(u, v) < u < math.lcm(u, v)
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(
