@@ -79,6 +79,20 @@ def _env_workers() -> int:
     return _parse("workers", os.environ.get("DIVLAB_WORKERS") or "1", "DIVLAB_WORKERS")
 
 
+# The keys a run reads, by subcommand and, for sieve and witness, by mode.
+# Every other key must keep its default value.
+_M_F = ("cover", "x", "mode", "tail", "limit", "out")
+_READS = {
+    ("analyze", None): {"cover", "x", "d", "limit"},
+    ("sieve", "paper"): {*_M_F, "epsilon", "delta", "d"},
+    ("sieve", "override"): {*_M_F, "k", "y", "window_lo", "window_hi"},
+    ("witness", "paper"): {*_M_F, "epsilon", "delta", "d"},
+    ("witness", "override"): {*_M_F, "k", "y", "window_lo", "window_hi", "d"},
+    ("diversity", None): {"cover", "N", "mode", "delta", "budget", "workers", "out"},
+    ("verify", None): {"cover", "limit", "budget", "seed"},
+}
+
+
 @dataclass
 class RunConfig:
     cover: Optional[str] = None
@@ -100,26 +114,21 @@ class RunConfig:
     out: str = "."
 
     def validate(self, command: str) -> None:
-        """Every value range, for a run of the given subcommand."""
-        if command == "diversity":
-            # a key the census never reads must keep its default
-            unread = ("x", "epsilon", "k", "y", "window_lo", "window_hi", "tail", "d", "limit", "seed")
-            for f in fields(self):
-                if f.name in unread and getattr(self, f.name) != f.default:
-                    raise ConfigError(f"diversity does not read {f.name}; leave it unset")
+        """Every value range, for a run of the given subcommand; then
+        every key the run does not read must keep its default."""
         if self.mode not in ("paper", "override"):
             raise ConfigError(f"mode must be paper or override, got {self.mode!r}")
-        if self.mode == "paper":
-            for key in ("k", "y", "window_lo", "window_hi"):
-                if getattr(self, key) is not None:
-                    raise ConfigError(f"{key} is an override key; set mode = override")
         for key, v in vars(self).items():
             if isinstance(v, float) and not math.isfinite(v):
                 raise ConfigError(f"{key} must be finite, got {v}")
-        for key in ("N", "x", "epsilon", "delta", "k", "y", "limit", "budget", "workers", "d"):
+        for key in ("N", "x", "epsilon", "delta", "k", "y", "budget", "workers", "d"):
             v = getattr(self, key)
             if v is not None and v <= 0:
                 raise ConfigError(f"{key} must be positive, got {v}")
+        # analyze's density check needs 100 primes, and 541 is the 100th
+        least = 541 if command == "analyze" else 2
+        if self.limit is not None and self.limit < least:
+            raise ConfigError(f"limit must be at least {least}, got {self.limit}")
         for key, top in (("epsilon", 0.5), ("delta", 1)):
             v = getattr(self, key)
             if v is not None and v > top:
@@ -143,6 +152,12 @@ class RunConfig:
                     f"window_hi*(k+2) = {top} exceeds x = {self.x:g}: "
                     "witnesses could fall above x; lower window_hi or raise x"
                 )
+        mode = self.mode if (command, self.mode) in _READS else None
+        default = RunConfig()
+        for key in _KEYS:
+            if key not in _READS[command, mode] and getattr(self, key) != getattr(default, key):
+                what = f"{command} (mode = {mode})" if mode else command
+                raise ConfigError(f"{what} does not read {key}; leave it unset")
 
 
 _KEYS = tuple(f.name for f in fields(RunConfig))
@@ -209,20 +224,17 @@ def _build_sieve(F: IntPoly, cfg: RunConfig) -> ChebotarevSieve:
 
 def _params(cfg: RunConfig, F: IntPoly, sieve: ChebotarevSieve) -> DiversityParams:
     _require(cfg, "x")
-    d = cfg.d if cfg.d is not None else F.degree
-    delta = cfg.delta if cfg.delta is not None else float(sieve.delta_hat)
     if cfg.mode == "paper":
         return DiversityParams.paper(
-            x=cfg.x, delta=delta, d=d, epsilon=cfg.epsilon,
-            tail_exponent=cfg.tail,
+            x=cfg.x,
+            delta=cfg.delta if cfg.delta is not None else float(sieve.delta_hat),
+            d=cfg.d or F.degree, epsilon=cfg.epsilon, tail_exponent=cfg.tail,
         )
     _require(cfg, "k", "y", "window_lo", "window_hi")
     return DiversityParams.override(
-        x=cfg.x, d=d, k=cfg.k, y=cfg.y,
+        x=cfg.x, k=cfg.k, y=cfg.y,
         window_lo=cfg.window_lo, window_hi=cfg.window_hi,
         tail_exponent=cfg.tail,
-        delta=delta,
-        epsilon=cfg.epsilon if cfg.epsilon is not None else 0.5,
     )
 
 
@@ -245,8 +257,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
     cover = _load_cover(cfg)
     F = critical_polynomial(cover)
     sieve = _build_sieve(F, cfg)
-    d = cfg.d if cfg.d is not None else F.degree
-    floor = check_density_floor(sieve, d)
+    floor = check_density_floor(sieve, cfg.d or F.degree)
     print(f"F = {format_poly(F, 'T')}")
     print(f"d = {F.degree}")
     print(f"disc(F) = {sieve.discriminant}")
@@ -283,7 +294,8 @@ def cmd_witness(cfg: RunConfig) -> int:
     params = _params(cfg, F, sieve)
     mf = enumerate_MF(sieve, params)
     wits = witnesses_for_MF(F, mf, params)
-    stats = classify_greedy(wits, params.d)
+    d = cfg.d or F.degree
+    stats = classify_greedy(wits, d)
     rows = [
         [w.m, _fact_str(w.primes), w.n_m, w.shift_l, "greedy" if w.greedy else "generous"]
         for w in wits
@@ -299,7 +311,7 @@ def cmd_witness(cfg: RunConfig) -> int:
     if stats.total:
         print(
             f"distinct witnesses = {stats.distinct_witnesses} vs "
-            f"|M_F|/(12d) = {stats.total / (12 * params.d):.3f} "
+            f"|M_F|/(12d) = {stats.total / (12 * d):.3f} "
             f"(ratio {stats.witness_ratio:.3f})"
         )
     print(f"cliques = {len(cliques)} -> {cpath}")
@@ -388,7 +400,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     # at limit >= 10,000 the sieve above enumerates the same M_F as this one
     sieve_w = sieve if limit >= 10_000 else build_PF(F, 10_000)
     params = DiversityParams.override(
-        x=10_000, d=F.degree, k=1, y=5, window_lo=50, window_hi=2000,
+        x=10_000, k=1, y=5, window_lo=50, window_hi=2000,
         tail_exponent=None,
     )
     with warnings.catch_warnings():

@@ -103,36 +103,23 @@ def check_density_floor(sieve: ChebotarevSieve, d: int) -> DensityFloorReport:
 
 @dataclass(frozen=True)
 class DiversityParams:
-    """Parameter bundle for the special squarefree set.
+    """The parameters that fix the special squarefree set M_F(x): the
+    number k+1 of prime factors, the smallest-prime bound y, the window
+    [window_lo, window_hi] and the tail cutoff x^tail_exponent.
 
-    In paper mode everything is derived from (x, epsilon, delta):
+    `paper` derives k, y and the window from (x, epsilon, delta):
     kappa = log log x, k = floor(eps*delta*kappa) + 1, y = exp((log x)^(1-eps)),
-    window [x/(2 kappa), x/kappa], tail cutoff x^(9/10) unless switched off.
-    Override mode sets k, y, the window and the tail directly and is stamped
-    on all outputs.
+    window [x/(2 kappa), x/kappa]. `override` takes them as given. `mode`
+    records which constructor made the bundle and is stamped on all outputs.
     """
 
     x: float
-    epsilon: float
-    delta: float
-    d: int
-    kappa: float
     k: int
     y: float
     window_lo: float
     window_hi: float
     tail_exponent: Optional[Fraction]  # None switches the tail constraint off
     mode: str  # "paper" | "override"
-
-    def __post_init__(self):
-        if self.mode not in ("paper", "override"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if not (0 < self.epsilon <= 0.5):
-            raise ValueError("epsilon must lie in (0, 1/2]")
-        if self.mode == "paper":
-            derived = _paper_fields(self.x, self.epsilon, self.delta)
-            if not all(math.isclose(getattr(self, key), v) for key, v in derived.items()):
-                raise ValueError("paper-mode fields are not consistent with (x, epsilon, delta)")
 
     @staticmethod
     def paper(
@@ -144,34 +131,30 @@ class DiversityParams:
     ) -> "DiversityParams":
         if epsilon is None:
             epsilon = default_epsilon(d)
+        if not (0 < epsilon <= 0.5):
+            raise ValueError("epsilon must lie in (0, 1/2]")
+        kappa = math.log(math.log(x))
         return DiversityParams(
             x=x,
-            epsilon=epsilon,
-            delta=delta,
-            d=d,
+            k=math.floor(epsilon * delta * kappa) + 1,
+            y=math.exp(math.log(x) ** (1 - epsilon)),
+            window_lo=x / (2 * kappa),
+            window_hi=x / kappa,
             tail_exponent=tail_exponent,
             mode="paper",
-            **_paper_fields(x, epsilon, delta),
         )
 
     @staticmethod
     def override(
         x: float,
-        d: int,
         k: int,
         y: float,
         window_lo: float,
         window_hi: float,
         tail_exponent: Optional[Fraction] = None,
-        delta: float = 1.0,
-        epsilon: float = 0.5,
     ) -> "DiversityParams":
         return DiversityParams(
             x=x,
-            epsilon=epsilon,
-            delta=delta,
-            d=d,
-            kappa=math.log(math.log(x)) if x > math.e else 1.0,
             k=k,
             y=y,
             window_lo=window_lo,
@@ -196,18 +179,6 @@ class DiversityParams:
             return True
         a, b = self.tail_exponent.numerator, self.tail_exponent.denominator
         return P**b >= round(self.x) ** a
-
-
-def _paper_fields(x: float, epsilon: float, delta: float) -> dict:
-    """kappa, k, y and the window that paper mode derives from (x, epsilon, delta)."""
-    kappa = math.log(math.log(x))
-    return {
-        "kappa": kappa,
-        "k": math.floor(epsilon * delta * kappa) + 1,
-        "y": math.exp(math.log(x) ** (1 - epsilon)),
-        "window_lo": x / (2 * kappa),
-        "window_hi": x / kappa,
-    }
 
 
 def default_epsilon(d: int) -> float:

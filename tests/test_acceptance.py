@@ -104,7 +104,7 @@ def test_criterion_05_witness_bound():
         x = 10**4
         sieve = build_PF(F, x)
         params = DiversityParams.override(
-            x=x, d=F.degree, k=1, y=5, window_lo=x / 8, window_hi=x / 4
+            x=x, k=1, y=5, window_lo=x / 8, window_hi=x / 4
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -181,7 +181,7 @@ def test_criterion_08_mf_enumeration_oracle():
     ):
         sieve = build_PF(F, x)
         params = DiversityParams.override(
-            x=x, d=F.degree, k=k, y=y,
+            x=x, k=k, y=y,
             window_lo=x / 8, window_hi=x / 4, tail_exponent=tail,
         )
         with warnings.catch_warnings():

@@ -1,7 +1,9 @@
 import csv
 import hashlib
+import importlib
 from dataclasses import fields, replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -200,6 +202,67 @@ class TestConfigErrors:
         # x > e binds only where paper-mode parameters are derived
         code, out, _ = run(capsys, "analyze", "--cover", "u^2 - t", "--x", "2")
         assert code == 0 and "|P_F| = " in out
+
+
+class TestReadKeys:
+    """A run accepts only the keys its subcommand (and, for sieve and
+    witness, its mode) reads; every other key must keep its default."""
+
+    COVER = ("--cover", "u^2 + t^2 + 1")
+    OVERRIDE = ("--x", "10000", "--mode", "override", "--k", "1", "--y", "5",
+                "--window-lo", "50", "--window-hi", "100", "--tail", "off")
+
+    @pytest.mark.parametrize("command, extra, key, text, what", [
+        ("sieve", OVERRIDE, "epsilon", "0.1", "sieve (mode = override)"),
+        ("sieve", OVERRIDE, "delta", "0.5", "sieve (mode = override)"),
+        ("sieve", OVERRIDE, "d", "3", "sieve (mode = override)"),
+        ("witness", OVERRIDE, "epsilon", "0.1", "witness (mode = override)"),
+        ("witness", OVERRIDE, "delta", "0.5", "witness (mode = override)"),
+        ("analyze", (), "out", "OUT", "analyze"),
+        ("analyze", (), "mode", "override", "analyze"),
+        ("verify", (), "N", "100", "verify"),
+        ("verify", (), "out", "OUT", "verify"),
+        ("sieve", OVERRIDE, "budget", "500", "sieve (mode = override)"),
+        ("sieve", OVERRIDE, "workers", "2", "sieve (mode = override)"),
+    ])
+    def test_unread_key_is_config_error(self, tmp_path, capsys, command, extra, key, text, what):
+        text = str(tmp_path) if text == "OUT" else text
+        out = ("--out", str(tmp_path)) if command in ("sieve", "witness") else ()
+        argv = (command, *self.COVER, *extra, *out, "--" + key.replace("_", "-"), text)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"config error: {what} does not read {key}; leave it unset\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_override_witness_reads_d(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "witness", *self.COVER, *self.OVERRIDE, "--d", "3",
+                           "--out", str(tmp_path))
+        assert code == 0 and "|M_F|/(12d) = 0.056 " in out
+
+    def test_workers_from_the_environment_is_not_set(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("DIVLAB_WORKERS", "2")
+        code, _, _ = run(capsys, "sieve", *self.COVER, *self.OVERRIDE, "--out", str(tmp_path))
+        assert code == 0
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_benchmark_workloads_pass_validation(self, tmp_path, monkeypatch, seed):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        for w in workloads.WORKLOADS.values():
+            argv = workloads.cli_args(w, seed) + ["--out", str(tmp_path)]
+            merge_flags(RunConfig(), build_parser().parse_args(argv)).validate(w.command)
+
+    @pytest.mark.parametrize("command, limit", [
+        ("analyze", "1"), ("analyze", "100"), ("analyze", "540"),
+        ("verify", "1"), ("sieve", "1"), ("witness", "1"),
+    ])
+    def test_limit_too_small_is_config_error(self, capsys, command, limit):
+        code, out, err = run(capsys, command, *self.COVER, "--limit", limit)
+        assert (code, out) == (1, "") and err.startswith("config error: limit must be at least ")
+
+    def test_analyze_limit_at_the_100th_prime(self, capsys):
+        code, out, _ = run(capsys, "analyze", *self.COVER, "--limit", "541")
+        assert code == 0 and "of 100 primes up to 541" in out
 
 
 class TestAnalyze:

@@ -1,12 +1,14 @@
-"""Source hygiene: every name a divlab module imports is used in it,
-every module-private function or class is referenced somewhere in the
-package other than its own body, and every name the package exports or
-the benchmark's tracer rebinds exists.
+"""Source hygiene: every name a divlab or test module imports is used
+in it, every module-private function or class is referenced somewhere in
+the package other than its own body, every name the package exports or
+the benchmark's tracer rebinds exists, and the CLI's table of the keys
+each run reads covers every key and every run.
 
 Stdlib only.  The package's __init__.py is exempt from the import check,
 since its imports are re-exports.
 """
 
+import argparse
 import ast
 import importlib
 from collections import Counter
@@ -15,10 +17,12 @@ from pathlib import Path
 import pytest
 
 import divlab
+from divlab.cli import _KEYS, _READS, build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "divlab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -69,7 +73,7 @@ def test_modules_found():
     assert len(MODULES) >= 6
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
@@ -121,3 +125,18 @@ def test_traced_names_resolve():
 
 def test_exported_names_resolve():
     assert [name for name in divlab.__all__ if not hasattr(divlab, name)] == []
+
+
+def test_every_key_is_read_by_some_run():
+    assert set().union(*_READS.values()) == set(_KEYS)
+
+
+def test_every_run_has_a_set_of_read_keys():
+    # sieve and witness read different keys in paper and override mode
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    runs = {
+        (command, mode)
+        for command in sub.choices
+        for mode in (("paper", "override") if command in ("sieve", "witness") else (None,))
+    }
+    assert set(_READS) == runs

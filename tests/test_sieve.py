@@ -149,26 +149,16 @@ class TestDensityFloor:
 class TestDiversityParams:
     def test_paper_mode_formulas(self):
         p = DiversityParams.paper(x=10**6, delta=0.5, d=2)
-        assert p.kappa == pytest.approx(math.log(math.log(10**6)))
-        assert p.k == math.floor(p.epsilon * 0.5 * p.kappa) + 1
-        assert p.y == pytest.approx(math.exp(math.log(10**6) ** (1 - p.epsilon)))
-        assert p.window_lo == pytest.approx(10**6 / (2 * p.kappa))
+        eps, kappa = default_epsilon(2), math.log(math.log(10**6))
+        assert p.k == math.floor(eps * 0.5 * kappa) + 1
+        assert p.y == pytest.approx(math.exp(math.log(10**6) ** (1 - eps)))
+        assert p.window_lo == pytest.approx(10**6 / (2 * kappa))
+        assert p.window_hi == pytest.approx(10**6 / kappa)
         assert p.mode == "paper"
-
-    def test_paper_mode_rejects_tampering(self):
-        p = DiversityParams.paper(x=10**6, delta=0.5, d=2)
-        with pytest.raises(ValueError):
-            DiversityParams(
-                x=p.x, epsilon=p.epsilon, delta=p.delta, d=p.d, kappa=p.kappa,
-                k=p.k + 3, y=p.y, window_lo=p.window_lo, window_hi=p.window_hi,
-                tail_exponent=p.tail_exponent, mode="paper",
-            )
 
     def test_epsilon_range_enforced(self):
         with pytest.raises(ValueError):
-            DiversityParams.override(
-                x=100, d=1, k=1, y=2, window_lo=10, window_hi=20, epsilon=0.7
-            )
+            DiversityParams.paper(x=10**6, delta=0.5, d=2, epsilon=0.7)
 
     def test_default_epsilon(self):
         assert default_epsilon(1) == pytest.approx(1 / (1000 * math.log(2)))
@@ -176,7 +166,7 @@ class TestDiversityParams:
 
     def test_tail_test_is_exact(self):
         p = DiversityParams.override(
-            x=10**4, d=1, k=1, y=2, window_lo=10, window_hi=20,
+            x=10**4, k=1, y=2, window_lo=10, window_hi=20,
             tail_exponent=Fraction(1, 2),
         )
         assert p.tail_ok(100)      # 100^2 == 10^4
@@ -186,7 +176,7 @@ class TestDiversityParams:
 class TestEnumerateMF:
     def test_override_example(self, small_PF_quadratic):
         params = DiversityParams.override(
-            x=30, d=2, k=1, y=5, window_lo=50, window_hi=100, tail_exponent=None
+            x=30, k=1, y=5, window_lo=50, window_hi=100, tail_exponent=None
         )
         mf = enumerate_MF(small_PF_quadratic, params)
         assert [e.m for e in mf] == [65, 85]
@@ -195,7 +185,7 @@ class TestEnumerateMF:
     def test_single_prime_case(self):
         sieve = build_PF(T, 200)
         params = DiversityParams.override(
-            x=200, d=1, k=0, y=2, window_lo=40, window_hi=60,
+            x=200, k=0, y=2, window_lo=40, window_hi=60,
             tail_exponent=Fraction(1, 4),
         )
         mf = enumerate_MF(sieve, params)
@@ -214,7 +204,7 @@ class TestEnumerateMF:
 
     def test_limit_must_cover_x(self, small_PF_quadratic):
         params = DiversityParams.override(
-            x=10**4, d=2, k=1, y=5, window_lo=50, window_hi=100
+            x=10**4, k=1, y=5, window_lo=50, window_hi=100
         )
         with pytest.raises(ValueError):
             enumerate_MF(small_PF_quadratic, params)
@@ -228,7 +218,7 @@ class TestEnumerateMF:
         x = 10**4
         sieve = build_PF(F, x)
         params = DiversityParams.override(
-            x=x, d=F.degree, k=k, y=y,
+            x=x, k=k, y=y,
             window_lo=x / 8, window_hi=x / 4, tail_exponent=tail,
         )
         with warnings.catch_warnings():
@@ -240,7 +230,7 @@ class TestEnumerateMF:
         x = 10**4
         sieve = build_PF(T2P1, x)
         params = DiversityParams.override(
-            x=x, d=2, k=1, y=5, window_lo=x / 8, window_hi=x / 4
+            x=x, k=1, y=5, window_lo=x / 8, window_hi=x / 4
         )
         mf = enumerate_MF(sieve, params)
         assert mf
@@ -259,7 +249,7 @@ class TestCardinalityReport:
         def params_for(x):
             kappa = math.log(math.log(x))
             return DiversityParams.override(
-                x=x, d=1, k=1, y=2,
+                x=x, k=1, y=2,
                 window_lo=x / (2 * kappa), window_hi=x / kappa,
                 tail_exponent=Fraction(1, 2),
             )

@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 from divlab.algebra import IntPoly
 from divlab.sieve import DiversityParams, MFElement, build_PF, enumerate_MF
 from divlab.witnesses import (
-    LemmaViolation,
     NoRootError,
     PreconditionError,
     classify_greedy,
@@ -156,7 +154,7 @@ class TestPrimitiveWitness:
     def test_set_pipeline_agrees_with_single_witness(self, F):
         x = 10**5
         params = DiversityParams.override(
-            x=x, d=F.degree, k=2, y=5, window_lo=x / 16, window_hi=x / 4
+            x=x, k=2, y=5, window_lo=x / 16, window_hi=x / 4
         )
         mf = enumerate_MF(build_PF(F, x), params)
         assert len(mf) > 50
@@ -174,7 +172,7 @@ class TestPrimitiveWitness:
 
         x = 10**5
         params = DiversityParams.override(
-            x=x, d=2, k=2, y=5, window_lo=x / 16, window_hi=x / 4
+            x=x, k=2, y=5, window_lo=x / 16, window_hi=x / 4
         )
         mf = enumerate_MF(build_PF(T2P1, x), params)
         calls = {"factor_integer": [], "poly_discriminant": [], "roots_mod_p": []}
@@ -188,7 +186,7 @@ class TestPrimitiveWitness:
 
     def test_mf_bound_with_params(self, small_PF_quadratic):
         params = DiversityParams.override(
-            x=1000, d=2, k=1, y=5, window_lo=50, window_hi=100, tail_exponent=None
+            x=1000, k=1, y=5, window_lo=50, window_hi=100, tail_exponent=None
         )
         mf = [MFElement(65, (5, 13)), MFElement(85, (5, 17))]
         recs = witnesses_for_MF(T2P1, mf, params)
