@@ -80,13 +80,15 @@ def _env_workers() -> int:
 
 
 # The keys a run reads, by subcommand and, for sieve and witness, by mode.
-# Every other key must keep its default value.
-_M_F = ("cover", "x", "mode", "tail", "limit", "out")
+# Every other key must keep its default value. Override `witness` sieves
+# only to params.prime_bound, which its window check keeps below x, so
+# `limit` cannot change its output.
+_M_F = ("cover", "x", "mode", "tail", "out")
 _READS = {
     ("analyze", None): {"cover", "x", "d", "limit"},
-    ("sieve", "paper"): {*_M_F, "epsilon", "delta", "d"},
-    ("sieve", "override"): {*_M_F, "k", "y", "window_lo", "window_hi"},
-    ("witness", "paper"): {*_M_F, "epsilon", "delta", "d"},
+    ("sieve", "paper"): {*_M_F, "epsilon", "delta", "d", "limit"},
+    ("sieve", "override"): {*_M_F, "k", "y", "window_lo", "window_hi", "limit"},
+    ("witness", "paper"): {*_M_F, "epsilon", "delta", "d", "limit"},
     ("witness", "override"): {*_M_F, "k", "y", "window_lo", "window_hi", "d"},
     ("diversity", None): {"cover", "N", "mode", "delta", "budget", "workers", "out"},
     ("verify", None): {"cover", "limit", "budget", "seed"},
@@ -158,6 +160,11 @@ class RunConfig:
             if key not in _READS[command, mode] and getattr(self, key) != getattr(default, key):
                 what = f"{command} (mode = {mode})" if mode else command
                 raise ConfigError(f"{what} does not read {key}; leave it unset")
+        # paper-mode sieve reads d only to default epsilon
+        if paper_params and command == "sieve" and None not in (self.epsilon, self.d):
+            raise ConfigError(
+                "sieve (mode = paper) does not read d when epsilon is set; leave it unset"
+            )
 
 
 _KEYS = tuple(f.name for f in fields(RunConfig))
@@ -215,27 +222,36 @@ def _load_cover(cfg: RunConfig) -> CurveCover:
         raise ConfigError(f"cannot parse cover: {e}")
 
 
-def _build_sieve(F: IntPoly, cfg: RunConfig) -> ChebotarevSieve:
-    limit = cfg.limit
-    if limit is None:
-        limit = max(1000, math.ceil(cfg.x)) if cfg.x else 10_000
-    return build_PF(F, limit)
+def _limit(cfg: RunConfig) -> int:
+    if cfg.limit is not None:
+        return cfg.limit
+    return max(1000, math.ceil(cfg.x)) if cfg.x else 10_000
 
 
-def _params(cfg: RunConfig, F: IntPoly, sieve: ChebotarevSieve) -> DiversityParams:
+def _sieve_and_params(cfg: RunConfig, F: IntPoly) -> tuple[ChebotarevSieve, DiversityParams]:
+    """P_F and the parameters of M_F(x). P_F is sieved to `limit` only
+    where its density delta_hat is read, as delta in paper mode; otherwise
+    only to params.prime_bound, since no element of M_F(x) contains a
+    prime above it."""
     _require(cfg, "x")
-    if cfg.mode == "paper":
-        return DiversityParams.paper(
-            x=cfg.x,
-            delta=cfg.delta if cfg.delta is not None else float(sieve.delta_hat),
+    limit = _limit(cfg)
+    full = None
+    if cfg.mode == "override":
+        _require(cfg, "k", "y", "window_lo", "window_hi")
+        params = DiversityParams.override(
+            x=cfg.x, k=cfg.k, y=cfg.y,
+            window_lo=cfg.window_lo, window_hi=cfg.window_hi,
+            tail_exponent=cfg.tail,
+        )
+    else:
+        if cfg.delta is None:
+            full = build_PF(F, limit)
+        params = DiversityParams.paper(
+            x=cfg.x, delta=cfg.delta if full is None else float(full.delta_hat),
             d=cfg.d or F.degree, epsilon=cfg.epsilon, tail_exponent=cfg.tail,
         )
-    _require(cfg, "k", "y", "window_lo", "window_hi")
-    return DiversityParams.override(
-        x=cfg.x, k=cfg.k, y=cfg.y,
-        window_lo=cfg.window_lo, window_hi=cfg.window_hi,
-        tail_exponent=cfg.tail,
-    )
+    sieve = full if full is not None else build_PF(F, max(2, min(limit, params.prime_bound)))
+    return sieve, params
 
 
 def _write_csv(path: str, header: list[str], rows: Iterable[Sequence]) -> None:
@@ -256,10 +272,11 @@ def _fact_str(primes) -> str:
 def cmd_analyze(cfg: RunConfig) -> int:
     cover = _load_cover(cfg)
     F = critical_polynomial(cover)
-    sieve = _build_sieve(F, cfg)
-    floor = check_density_floor(sieve, cfg.d or F.degree)
+    sieve = build_PF(F, _limit(cfg))
+    d = cfg.d or F.degree
+    floor = check_density_floor(sieve, d)
     print(f"F = {format_poly(F, 'T')}")
-    print(f"d = {F.degree}")
+    print(f"d = {d}")
     print(f"disc(F) = {sieve.discriminant}")
     print(f"|P_F| = {len(sieve.primes_in_PF)} of {sieve.total_primes} primes up to {sieve.limit}")
     print(f"delta_hat = {float(sieve.delta_hat):.6f} ({sieve.delta_hat})")
@@ -273,8 +290,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
 def cmd_sieve(cfg: RunConfig) -> int:
     cover = _load_cover(cfg)
     F = critical_polynomial(cover)
-    sieve = _build_sieve(F, cfg)
-    params = _params(cfg, F, sieve)
+    sieve, params = _sieve_and_params(cfg, F)
     mf = enumerate_MF(sieve, params)
     rows = [[e.m, _fact_str(e.primes), e.P, e.m1] for e in mf]
     path = os.path.join(cfg.out, "mf.csv")
@@ -290,8 +306,7 @@ def cmd_sieve(cfg: RunConfig) -> int:
 def cmd_witness(cfg: RunConfig) -> int:
     cover = _load_cover(cfg)
     F = critical_polynomial(cover)
-    sieve = _build_sieve(F, cfg)
-    params = _params(cfg, F, sieve)
+    sieve, params = _sieve_and_params(cfg, F)
     mf = enumerate_MF(sieve, params)
     wits = witnesses_for_MF(F, mf, params)
     d = cfg.d or F.degree

@@ -173,6 +173,12 @@ class DiversityParams:
     def hi_int(self) -> int:
         return math.ceil(self.window_hi)
 
+    @property
+    def prime_bound(self) -> int:
+        """The largest prime an element of M_F(x) can contain: its k
+        smaller primes are each at least max(2, ceil(y)), and m <= hi_int."""
+        return self.hi_int // max(2, math.ceil(self.y)) ** self.k
+
     def tail_ok(self, P: int) -> bool:
         """Exact integer test for P >= x^tail_exponent (x rounded to int)."""
         if self.tail_exponent is None:
@@ -209,10 +215,16 @@ def enumerate_MF(sieve: ChebotarevSieve, params: DiversityParams) -> list[MFElem
     p_max(m) past the tail cutoff.
 
     Enumerates cofactors m1 as increasing k-subsets of the admissible
-    small primes, then attaches each admissible large prime.
+    small primes, then attaches each admissible large prime. No element
+    contains a prime above params.prime_bound, so a sieve to
+    min(x, prime_bound) gives the same set as a sieve to x; a shorter one
+    is refused.
     """
-    if sieve.limit < params.x:
-        raise ValueError("sieve limit is below x")
+    if sieve.limit < min(params.x, params.prime_bound):
+        raise ValueError(
+            f"sieve limit {sieve.limit} is below min(x, prime_bound) = "
+            f"min({params.x:g}, {params.prime_bound})"
+        )
     primes = sieve.primes_in_PF
     lo, hi = params.lo_int, params.hi_int
     k = params.k

@@ -10,7 +10,7 @@ import pytest
 import divlab.cli
 import divlab.diversity
 from divlab.cli import ConfigError, RunConfig, build_parser, load_config, main, merge_flags
-from divlab.sieve import MFElement
+from divlab.sieve import MFElement, build_PF
 from divlab.witnesses import find_cliques
 
 
@@ -224,6 +224,7 @@ class TestReadKeys:
         ("verify", (), "out", "OUT", "verify"),
         ("sieve", OVERRIDE, "budget", "500", "sieve (mode = override)"),
         ("sieve", OVERRIDE, "workers", "2", "sieve (mode = override)"),
+        ("witness", OVERRIDE, "limit", "20000", "witness (mode = override)"),
     ])
     def test_unread_key_is_config_error(self, tmp_path, capsys, command, extra, key, text, what):
         text = str(tmp_path) if text == "OUT" else text
@@ -233,6 +234,20 @@ class TestReadKeys:
         assert (code, out) == (1, "")
         assert err == f"config error: {what} does not read {key}; leave it unset\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_paper_sieve_with_epsilon_does_not_read_d(self, tmp_path, capsys):
+        paper = (*self.COVER, "--x", "1000000", "--tail", "off", "--out", str(tmp_path))
+        code, out, err = run(capsys, "sieve", *paper, "--epsilon", "0.5", "--d", "2")
+        assert (code, out) == (1, "")
+        assert err == (
+            "config error: sieve (mode = paper) does not read d when epsilon is set; "
+            "leave it unset\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+        # d sets the default epsilon, and witness reads it for its ratio line
+        with pytest.warns(UserWarning, match="empty"):
+            assert run(capsys, "sieve", *paper, "--d", "2")[0] == 0
+        assert run(capsys, "witness", *paper, "--epsilon", "0.5", "--d", "2")[0] == 0
 
     def test_override_witness_reads_d(self, tmp_path, capsys):
         code, out, _ = run(capsys, "witness", *self.COVER, *self.OVERRIDE, "--d", "3",
@@ -271,6 +286,11 @@ class TestAnalyze:
         assert code == 0
         assert "F = T" in out and "d = 1" in out
         assert "delta_hat = 1.000000" in out
+
+    def test_prints_the_d_it_checks(self, capsys):
+        code, out, _ = run(capsys, "analyze", "--cover", "u^2 - t", "--d", "2")
+        assert code == 0
+        assert "d = 2\n" in out and "density floor 1/d = 0.500000" in out
 
     def test_cubic_base(self, capsys):
         code, out, _ = run(capsys, "analyze", "--cover", "u^2 - t^3 + 3*t^2 - 2*t")
@@ -333,6 +353,31 @@ class TestWitnessCommand:
         assert [(int(P), int(a), int(b), int(c), kind) for P, a, b, c, kind in rows[1:]] == list(
             find_cliques(mf)
         )
+
+    @pytest.mark.parametrize("command, args, limits", [
+        # M_F(x) reaches no prime above 15000 // 5^2 = 600
+        ("witness", ("--x", "60000", "--mode", "override", "--k", "2", "--y", "5",
+                     "--window-lo", "3000", "--window-hi", "15000", "--tail", "off"), [600]),
+        ("sieve", ("--x", "60000", "--mode", "override", "--k", "2", "--y", "5",
+                   "--window-lo", "3000", "--window-hi", "15000", "--tail", "off"), [600]),
+        # paper mode: prime_bound = 40926 // 30 = 1364 (k = 1, y = 29.76)
+        ("witness", ("--x", "100000", "--delta", "0.5", "--epsilon", "0.5", "--tail", "off"), [1364]),
+        # paper mode without delta reads delta_hat off P_F up to limit
+        ("witness", ("--x", "100000", "--epsilon", "0.5", "--tail", "off"), [100000]),
+    ])
+    def test_sieves_P_F_only_as_far_as_it_is_read(self, tmp_path, capsys, monkeypatch,
+                                                   command, args, limits):
+        calls = []
+
+        def counting_build_PF(F, limit):
+            calls.append(limit)
+            return build_PF(F, limit)
+
+        monkeypatch.setattr(divlab.cli, "build_PF", counting_build_PF)
+        code, out, _ = run(capsys, command, "--cover", "u^2 + t^2 + 1", *args,
+                           "--out", str(tmp_path))
+        assert code == 0 and "|M_F(x)| = 0 " not in out
+        assert calls == limits
 
     def test_window_past_x_over_k_plus_two_is_config_error(self, tmp_path, capsys):
         code, _, err = run(

@@ -2,7 +2,7 @@
 in it, every module-private function or class is referenced somewhere in
 the package other than its own body, every name the package exports or
 the benchmark's tracer rebinds exists, and the CLI's table of the keys
-each run reads covers every key and every run.
+each run reads covers every key and every run and matches README's.
 
 Stdlib only.  The package's __init__.py is exempt from the import check,
 since its imports are re-exports.
@@ -11,6 +11,7 @@ since its imports are re-exports.
 import argparse
 import ast
 import importlib
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -140,3 +141,26 @@ def test_every_run_has_a_set_of_read_keys():
         for mode in (("paper", "override") if command in ("sieve", "witness") else (None,))
     }
     assert set(_READS) == runs
+
+
+def readme_reads_rows() -> list:
+    """The rows of README's "keys it reads" table as ((command, mode),
+    keys): a key is the backquoted name that starts an item of the
+    comma-separated cell, so `x` (default limit) reads as x."""
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| run | keys it reads |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        m = re.fullmatch(r"\| `(\w+)`(?:, (\w+) mode)? \| (.*) \|", line)
+        assert m, line
+        command, mode, cell = m.groups()
+        rows.append(((command, mode), {re.match(r"`(\w+)`", item).group(1) for item in cell.split(", ")}))
+    return rows
+
+
+def test_readme_key_table_matches_reads():
+    rows = readme_reads_rows()
+    assert len(rows) == len(dict(rows))
+    assert dict(rows) == _READS

@@ -203,11 +203,68 @@ class TestEnumerateMF:
             assert enumerate_MF(sieve, params) == []
 
     def test_limit_must_cover_x(self, small_PF_quadratic):
+        # prime_bound = 1000 // 5 = 200, past the fixture's limit 30
         params = DiversityParams.override(
-            x=10**4, k=1, y=5, window_lo=50, window_hi=100
+            x=10**4, k=1, y=5, window_lo=50, window_hi=1000
         )
         with pytest.raises(ValueError):
             enumerate_MF(small_PF_quadratic, params)
+
+    @pytest.mark.parametrize("x, window_hi, reach", [
+        (10**4, 1000, 200),  # prime_bound = 1000 // 5 below x
+        (100, 10**4, 100),   # x below prime_bound = 10^4 // 5
+    ])
+    def test_sieve_must_reach_min_of_x_and_prime_bound(self, x, window_hi, reach):
+        params = DiversityParams.override(x=x, k=1, y=5, window_lo=50, window_hi=window_hi)
+        assert min(x, params.prime_bound) == reach
+        with pytest.raises(ValueError, match=f"sieve limit {reach - 1} is below min"):
+            enumerate_MF(build_PF(T2P1, reach - 1), params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            enumerate_MF(build_PF(T2P1, reach), params)
+
+    @pytest.mark.parametrize("k, y, window_hi, bound", [
+        (2, 5, 375000, 15000),
+        (1, 5, 100, 20),
+        (2, 4.2, 1000.5, 40),  # window_hi rounds up to 1001, y up to 5
+        (3, 1.5, 1000, 125),   # every p_i is at least 2
+        (0, 3, 900, 900),
+    ])
+    def test_prime_bound(self, k, y, window_hi, bound):
+        params = DiversityParams.override(x=10**6, k=k, y=y, window_lo=1, window_hi=window_hi)
+        assert params.prime_bound == bound
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        F=st.sampled_from([
+            T2P1, IntPoly.of([-3, 0, 1]), IntPoly.of([5, 1, 2]),
+            IntPoly.of([-1, -1, 0, 1]), IntPoly.of([0, 2, -3, 1]), IntPoly.of([2, 0, 0, 1]),
+        ]),
+        k=st.integers(1, 3),
+        y=st.floats(1, 40),
+        x=st.integers(50, 3 * 10**4),
+        hi_over_x=st.floats(0.01, 4),
+        lo_over_hi=st.floats(0, 1),
+        tail=st.sampled_from([None, Fraction(1, 3), Fraction(1, 2)]),
+    )
+    @example(F=T2P1, k=1, y=5, x=10**4, hi_over_x=0.01, lo_over_hi=0.5, tail=None)
+    @example(F=IntPoly.of([-1, -1, 0, 1]), k=1, y=1.5, x=1000, hi_over_x=3.5, lo_over_hi=0.1,
+             tail=Fraction(1, 2))  # x < prime_bound = 1750
+    def test_sieve_to_prime_bound_enumerates_the_same_set(
+        self, F, k, y, x, hi_over_x, lo_over_hi, tail
+    ):
+        # the example is the case test_limit_must_cover_x refused while the
+        # guard was limit >= x: window [50, 100], so a sieve to
+        # prime_bound = 20 is enough
+        hi = x * hi_over_x
+        params = DiversityParams.override(
+            x=x, k=k, y=y, window_lo=hi * lo_over_hi, window_hi=hi, tail_exponent=tail
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            full = enumerate_MF(build_PF(F, x), params)
+            short = enumerate_MF(build_PF(F, max(2, min(x, params.prime_bound))), params)
+        assert short == full
 
     @pytest.mark.parametrize("F,k,y,tail", [
         (T2P1, 1, 5, None),
