@@ -319,7 +319,9 @@ def cmd_witness(cfg: RunConfig) -> int:
     _write_csv(path, ["m", "factorization", "n_m", "shift_l", "greedy"], rows)
     cliques = find_cliques(mf)
     cpath = os.path.join(cfg.out, "cliques.csv")
-    _write_csv(cpath, ["P", "m1", "m2", "m3", "type"], cliques)
+    with open(cpath, "w", encoding="utf-8", newline="") as fh:
+        fh.write("P,m1,m2,m3,type\n")
+        fh.writelines(cliques)
     print(f"mode = {params.mode}")
     print(f"|M_F(x)| = {len(mf)} -> {path}")
     print(f"greedy = {stats.greedy}, generous = {stats.generous}")

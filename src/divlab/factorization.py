@@ -563,9 +563,23 @@ def _brent_rho(n: int, effort: int) -> int:
             k = 0
             while k < r and g == 1:
                 ys = y
-                for _ in range(min(m, r - k)):
+                steps = min(m, r - k)
+                for _ in range(steps & 7):
                     y = (y * y + c) % n
                     qacc = qacc * (x - y) % n
+                # qacc reduced once per eight steps: its residue mod n, and so
+                # every gcd, is unchanged
+                for _ in range(steps >> 3):
+                    y1 = (y * y + c) % n
+                    y2 = (y1 * y1 + c) % n
+                    y3 = (y2 * y2 + c) % n
+                    y4 = (y3 * y3 + c) % n
+                    y5 = (y4 * y4 + c) % n
+                    y6 = (y5 * y5 + c) % n
+                    y7 = (y6 * y6 + c) % n
+                    y = (y7 * y7 + c) % n
+                    qacc = (qacc * ((x - y1) * (x - y2) * (x - y3) * (x - y4) % n)
+                            * ((x - y5) * (x - y6) * (x - y7) * (x - y)) % n)
                 g = math.gcd(qacc, n)
                 k += m
             r *= 2

@@ -11,7 +11,7 @@ import math
 import random
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .algebra import IntPoly, poly_discriminant
 from .factorization import factor_integer, is_prime, roots_mod_p
@@ -365,39 +365,31 @@ def classify_greedy(witnesses: Iterable[WitnessRecord], d: int) -> GreedyStats:
     )
 
 
-class CliqueRecord(NamedTuple):
-    """Three distinct cofactors sharing one large prime, all of whose
-    products lie in the set.  A record is its `cliques.csv` row:
-    (P, m1, m2, m3, type)."""
-
-    P: int
-    m1: int
-    m2: int
-    m3: int
-    kind: str  # "proper-lcm" (some pairwise lcm is proper) | "equal-lcm"
-
-
-def find_cliques(mf: Sequence[MFElement]) -> tuple[CliqueRecord, ...]:
+def find_cliques(mf: Sequence[MFElement]) -> tuple[str, ...]:
     """Group the set by largest prime and emit every triple of distinct
     cofactors sharing a P, in P order and then in `itertools.combinations`
-    order over the sorted cofactors; each record is a `cliques.csv` row.
-    A trio is "equal-lcm" when its three pairwise lcms agree (their common
-    value is then the lcm of all three)."""
+    order over the sorted cofactors, each as its `cliques.csv` line
+    "P,m1,m2,m3,type\n".  A trio is "equal-lcm" when its three pairwise
+    lcms agree (their common value is then the lcm of all three), and
+    "proper-lcm" otherwise."""
     by_P: dict[int, set[int]] = defaultdict(set)
     for e in mf:
         by_P[e.P].add(e.m1)
-    cliques = []
+    lines: list[str] = []
     for P, group in sorted(by_P.items()):
         cofs = sorted(group)
+        text = [str(c) for c in cofs]
         # lcms[i][j - i - 1] = lcm(cofs[i], cofs[j]) for i < j
         lcms = [[math.lcm(a, b) for b in cofs[i + 1 :]] for i, a in enumerate(cofs)]
-        for i, a in enumerate(cofs):
+        for i, a in enumerate(text):
+            head = f"{P},{a},"
             for j in range(i + 1, len(cofs)):
-                b, ab = cofs[j], lcms[i][j - i - 1]
-                for c, ac, bc in zip(cofs[j + 1 :], lcms[i][j - i :], lcms[j]):
-                    kind = "equal-lcm" if ab == ac == bc else "proper-lcm"
-                    cliques.append(CliqueRecord(P, a, b, c, kind))
-    return tuple(cliques)
+                prefix, ab = head + text[j] + ",", lcms[i][j - i - 1]
+                lines.extend([
+                    prefix + c + (",equal-lcm\n" if ab == ac == bc else ",proper-lcm\n")
+                    for c, ac, bc in zip(text[j + 1 :], lcms[i][j - i :], lcms[j])
+                ])
+    return tuple(lines)
 
 
 # ---------------------------------------------------------------------------

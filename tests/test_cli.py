@@ -1,6 +1,8 @@
 import csv
 import hashlib
 import importlib
+import itertools
+import math
 from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -348,11 +350,22 @@ class TestWitnessCommand:
             MFElement(int(m), tuple(int(p) for p in fact.split("*")))
             for m, fact, _, _ in read_csv(tmp_path / "s" / "mf.csv")[1:]
         ]
-        rows = read_csv(tmp_path / "w" / "cliques.csv")
-        assert rows[0] == ["P", "m1", "m2", "m3", "type"]
-        assert [(int(P), int(a), int(b), int(c), kind) for P, a, b, c, kind in rows[1:]] == list(
-            find_cliques(mf)
-        )
+        header, body = (tmp_path / "w" / "cliques.csv").read_bytes().decode().split("\n", 1)
+        assert header == "P,m1,m2,m3,type"
+        assert body == "".join(find_cliques(mf))
+        # an oracle of its own, read off mf.csv's P and m1 columns
+        by_P = {}
+        for _, _, P, m1 in read_csv(tmp_path / "s" / "mf.csv")[1:]:
+            by_P.setdefault(int(P), set()).add(int(m1))
+        want = []
+        for P in sorted(by_P):
+            for a, b, c in itertools.combinations(sorted(by_P[P]), 3):
+                equal = math.lcm(a, b) == math.lcm(a, c) == math.lcm(b, c)
+                want.append([str(P), str(a), str(b), str(c), "equal-lcm" if equal else "proper-lcm"])
+        rows = read_csv(tmp_path / "w" / "cliques.csv")[1:]
+        assert rows == want
+        assert [row[4] for row in rows].count("equal-lcm") == 2
+        assert [row[4] for row in rows].count("proper-lcm") == 59
 
     @pytest.mark.parametrize("command, args, limits", [
         # M_F(x) reaches no prime above 15000 // 5^2 = 600
@@ -399,6 +412,16 @@ class TestWitnessCommand:
         assert read_csv(tmp_path / "witnesses.csv") == [
             ["m", "factorization", "n_m", "shift_l", "greedy"]
         ]
+
+    def test_empty_set_writes_only_the_cliques_header(self, tmp_path, capsys):
+        with pytest.warns(UserWarning, match="empty"):
+            code, out, _ = run(
+                capsys, "witness", "--cover", "u^2 + t^2 + 1", "--x", "10000",
+                "--tail", "off", "--out", str(tmp_path),
+            )
+        assert code == 0
+        assert (tmp_path / "cliques.csv").read_bytes() == b"P,m1,m2,m3,type\n"
+        assert out.endswith(f"cliques = 0 -> {tmp_path / 'cliques.csv'}\n")
 
 
 class TestSieveCommand:

@@ -1,8 +1,9 @@
+import math
 import random
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_pow_mod, gf_strip
@@ -10,6 +11,7 @@ from sympy.polys.galoistools import gf_pow_mod, gf_strip
 from divlab.algebra import AlgebraError, IntPoly, poly_discriminant
 from divlab import factorization
 from divlab.factorization import (
+    _brent_rho,
     _ppowmod,
     _reduce_mod_p,
     factor_integer,
@@ -442,6 +444,55 @@ class TestFactorInteger:
         assert fact.reassemble() == p * q
         if not fact.complete:
             assert fact.cofactor > 1 and not sympy.isprime(fact.cofactor)
+
+
+def _brent_rho_one_step_at_a_time(n, effort):
+    # the plain Brent loop, one reduction of qacc per step
+    if n % 2 == 0:
+        return 2
+    spent = 0
+    for c in range(1, 1000):
+        y, r, qacc = 2, 1, 1
+        g, ys = 1, y
+        m = 128
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    qacc = qacc * (x - y) % n
+                g = math.gcd(qacc, n)
+                k += m
+            r *= 2
+            spent += r
+            if spent > effort:
+                return 0
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    return 0
+
+
+class TestBrentRho:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(2**10, 2**40), min_size=2, max_size=3),
+        st.one_of(st.integers(1, 5000), st.just(10**6)),
+    )
+    @example([2**10, 2**40], 1)  # the budget runs out: both return 0
+    @example([2**30, 2**40], 10**6)  # found after r reaches 2**15
+    @example([2**40, 2**40 - 2**20, 2**39], 10**6)  # runs the whole budget
+    def test_agrees_with_one_step_at_a_time(self, bounds, effort):
+        n = math.prod(sympy.prevprime(b) for b in bounds)
+        assert _brent_rho(n, effort) == _brent_rho_one_step_at_a_time(n, effort)
 
 
 class TestIsPrime:

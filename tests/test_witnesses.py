@@ -287,15 +287,12 @@ class TestCliques:
     def test_equal_lcm_type(self):
         P = 101
         mf = [MFElement(c * P, (c, P)) for c in (6, 10, 15)]
-        (rec,) = find_cliques(mf)
-        assert (rec.m1, rec.m2, rec.m3) == (6, 10, 15)
-        assert rec.kind == "equal-lcm"
+        assert find_cliques(mf) == ("101,6,10,15,equal-lcm\n",)
 
     def test_proper_lcm_type(self):
         P = 101
         mf = [MFElement(c * P, (c, P)) for c in (6, 10, 14)]
-        (rec,) = find_cliques(mf)
-        assert rec.kind == "proper-lcm"
+        assert find_cliques(mf) == ("101,6,10,14,proper-lcm\n",)
 
     def test_half_window_relations_hold(self):
         # cofactors drawn from a [c, 2c) window satisfy the pairwise size
@@ -303,11 +300,12 @@ class TestCliques:
         P = 997
         cofactors = (10, 14, 15, 19)
         mf = [MFElement(c * P, (c, P)) for c in cofactors]
-        got = find_cliques(mf)
-        assert [(r.m1, r.m2, r.m3) for r in got] == list(itertools.combinations(cofactors, 3))
-        for rec in got:
-            assert rec.P == P
-            for u, v in itertools.combinations((rec.m1, rec.m2, rec.m3), 2):
+        rows = [line.split(",") for line in find_cliques(mf)]
+        assert [int(row[0]) for row in rows] == [P] * 4
+        trios = [tuple(map(int, row[1:4])) for row in rows]
+        assert trios == list(itertools.combinations(cofactors, 3))
+        for trio in trios:
+            for u, v in itertools.combinations(trio, 2):
                 assert v <= 2 * u and u <= 2 * v
                 assert math.gcd(u, v) < u < math.lcm(u, v)
 
@@ -335,10 +333,11 @@ class TestCliques:
         want = []
         for P in sorted({P for P, _ in pairs}):
             cofs = sorted({c for Q, c in pairs if Q == P})
-            for trio in itertools.combinations(cofs, 3):
-                lcm3 = math.lcm(*trio)
-                equal = all(math.lcm(a, b) == lcm3 for a, b in itertools.combinations(trio, 2))
-                want.append((P, *trio, "equal-lcm" if equal else "proper-lcm"))
+            for a, b, c in itertools.combinations(cofs, 3):
+                lcm3 = math.lcm(a, b, c)
+                equal = all(math.lcm(u, v) == lcm3 for u, v in itertools.combinations((a, b, c), 2))
+                kind = "equal-lcm" if equal else "proper-lcm"
+                want.append(f"{P},{a},{b},{c},{kind}\n")
         got = find_cliques(mf)
         assert isinstance(got, tuple)
         assert got == tuple(want)
