@@ -19,7 +19,7 @@ from .factorization import (
     is_irreducible_mod_p,
     is_prime,
 )
-from .sieve import build_PF, default_epsilon
+from .sieve import build_PF, default_epsilon, prime_sieve
 
 
 class DegenerateFiberError(ValueError):
@@ -46,7 +46,7 @@ def is_fiber_irreducible(cover: CurveCover, n: int) -> Optional[bool]:
     good prime certifies a cubic or higher fiber, the full factorization
     over Z decides.  None is reserved for budget-limited unknowns."""
     f = fiber_poly(cover, n)
-    return _analyze_fiber(n, f, poly_discriminant(f), None).irreducible
+    return _irreducible(f, poly_discriminant(f))
 
 
 def _irreducible(f: IntPoly, disc: int) -> bool:
@@ -103,20 +103,28 @@ def fingerprint(fpoly: IntPoly, effort: int = 1_000_000) -> FieldFingerprint:
     """Odd-valuation primes of disc(fpoly).  An unfactored cofactor that
     is a perfect square cannot change any parity; otherwise the
     fingerprint is marked incomplete."""
-    return _fingerprint(poly_discriminant(fpoly), effort)
+    return _fingerprint(poly_discriminant(fpoly), [], effort)
 
 
-def _fingerprint(disc: int, effort: int) -> FieldFingerprint:
+def _fingerprint(disc: int, primes: list[int], effort: int) -> FieldFingerprint:
+    """The fingerprint of disc, given some primes (repeats allowed): their
+    valuations by exact division, factor_integer on what they leave."""
     if disc == 0:
         raise AlgebraError("zero discriminant: polynomial is not separable")
-    fact = factor_integer(disc, trial_bound=_TRIAL_BOUND, effort=effort)
-    odd = tuple(sorted(p for p, e in fact.factors if e % 2 == 1))
-    complete = fact.complete
-    if not complete:
-        root = math.isqrt(fact.cofactor)
-        if root * root == fact.cofactor:
-            complete = True
-    return FieldFingerprint(odd_valuation_primes=odd, complete=complete)
+    odd = []
+    for p in primes:
+        e = 0
+        while disc % p == 0:
+            disc //= p
+            e += 1
+        if e % 2:
+            odd.append(p)
+    complete = True
+    if abs(disc) != 1:
+        fact = factor_integer(disc, trial_bound=_TRIAL_BOUND, effort=effort)
+        odd += [p for p, e in fact.factors if e % 2 == 1]
+        complete = math.isqrt(fact.cofactor) ** 2 == fact.cofactor
+    return FieldFingerprint(odd_valuation_primes=tuple(sorted(odd)), complete=complete)
 
 
 @dataclass(frozen=True)
@@ -169,36 +177,60 @@ class CensusConfig:
     workers: int = 1
 
 
-def _analyze_fiber(n: int, f: IntPoly, disc: int, config: Optional[CensusConfig]) -> CensusRow:
-    """The per-fiber pipeline, given fiber n's polynomial f and disc(f):
-    decide irreducibility, and fingerprint an irreducible fiber when a
-    census config is given."""
-    irr = _irreducible(f, disc)
-    fp = None
-    if irr and config is not None:
-        fp = _fingerprint(disc, config.effort)
-    return CensusRow(n=n, fiber_degree=f.degree, irreducible=irr, fingerprint=fp, new_field=False)
-
-
 # fibers per task when the census runs on worker processes
 _CENSUS_CHUNK = 25
 
 
-def _census_rows(cover: CurveCover, D: IntPoly, ns: range, config: Optional[CensusConfig]) -> list[CensusRow]:
-    """Rows for the fibers n in ns, given D = discriminant_in_u(cover): no
-    fiber needs a resultant.  With g(n, u) = c*f, f = fiber_poly(cover, n),
+def _sieved_primes(known: tuple[int, ...], linear: tuple[IntPoly, ...], ns: range) -> list[list[int]]:
+    """For each n in ns, the known primes plus the primes of a*n + b for
+    each primitive a*t + b (a > 0) in linear, found by sieving ns: a prime
+    p <= isqrt(max |a*n + b|), p not dividing a (nor then a*n + b),
+    divides exactly the a*n + b with n = -b/a mod p, and what the sieve
+    leaves of |a*n + b| above 1 is prime.  A zero a*n + b gets nothing:
+    that fiber's discriminant is zero, so it is reducible."""
+    found = [list(known) for _ in ns]
+    for h in linear:
+        b, a = h.coeffs
+        rest = [abs(a * n + b) for n in ns]
+        for p in prime_sieve(max(2, math.isqrt(max(rest)))):
+            if a % p == 0:
+                continue
+            for i in range((-b * pow(a, -1, p) - ns[0]) % p, len(ns), p):
+                if rest[i]:
+                    v, rem = divmod(rest[i], p)
+                    if rem:
+                        raise AlgebraError(f"sieve: {p} does not divide {h} at t = {ns[i]}")
+                    while v % p == 0:
+                        v //= p
+                    rest[i] = v
+                    found[i].append(p)
+        for primes, v in zip(found, rest):
+            if v > 1:
+                primes.append(v)
+    return found
+
+
+def _census_rows(cover: CurveCover, D: IntPoly, known: tuple[int, ...], linear: tuple[IntPoly, ...],
+                 ns: range, config: Optional[CensusConfig]) -> list[CensusRow]:
+    """Rows for the fibers n in ns, given D = discriminant_in_u(cover), the
+    primes known of its content and its linear factors over Z: no fiber
+    needs a resultant.  With g(n, u) = c*f, f = fiber_poly(cover, n),
     disc(f) = D(n)/c^(2nu-2) exactly, since the discriminant is homogeneous
-    of degree 2nu-2 in the coefficients and f keeps degree nu."""
+    of degree 2nu-2 in the coefficients and f keeps degree nu.  An
+    irreducible fiber is fingerprinted when a census config is given."""
     rows: list[CensusRow] = []
-    for n in ns:
+    for n, primes in zip(ns, _sieved_primes(known, linear, ns)):
         try:
             f = fiber_poly(cover, n)
         except DegenerateFiberError:
             rows.append(CensusRow(n=n, fiber_degree=-1, irreducible=None, fingerprint=None, new_field=False))
             continue
         disc, rem = divmod(D(n), (cover.lc_u(n) // f.lc) ** (2 * f.degree - 2))
-        assert rem == 0
-        rows.append(_analyze_fiber(n, f, disc, config))
+        if rem:
+            raise AlgebraError(f"D({n}) is not divisible by c^(2nu-2): D is not disc_u of the cover")
+        irr = _irreducible(f, disc)
+        fp = _fingerprint(disc, primes, config.effort) if irr and config is not None else None
+        rows.append(CensusRow(n=n, fiber_degree=f.degree, irreducible=irr, fingerprint=fp, new_field=False))
     return rows
 
 
@@ -209,6 +241,8 @@ def run_census(cover: CurveCover, N: int, config: CensusConfig = CensusConfig())
     primes, a partial one only when no fingerprint before it, complete or
     partial, has its known primes.  D = disc_u(g) is computed once, and
     fiber n's discriminant is D(n)/c^(2nu-2), exact (see _census_rows).
+    D is factored over Z once, so factor_integer sees only what the
+    primes of its content and linear factors leave (see _sieved_primes).
     eta comes first, from F = critical_polynomial(cover) and delta
     (measured on F unless the config sets it), so a degenerate cover
     raises before any fiber is specialized."""
@@ -220,9 +254,15 @@ def run_census(cover: CurveCover, N: int, config: CensusConfig = CensusConfig())
         delta = float(build_PF(F, _DELTA_SIEVE_LIMIT).delta_hat)
     eta = eta_exponent(F.degree, delta).eta
     D = discriminant_in_u(cover)
+    content, factors = factor_over_Z(D)
+    linear = tuple(h for h, _ in factors if h.degree == 1)
+    # with a factor of higher degree, factor_integer finds the content's
+    # primes in every discriminant anyway
+    split = len(linear) == len(factors) and abs(content) > 1
+    known = factor_integer(content, effort=config.effort).primes if split else ()
     workers = max(1, config.workers)
     if workers == 1:
-        rows = _census_rows(cover, D, range(1, N + 1), config)
+        rows = _census_rows(cover, D, known, linear, range(1, N + 1), config)
     else:
         # imported here: the process pool's modules would add ~25 ms to
         # every single-worker run's start-up
@@ -232,7 +272,7 @@ def run_census(cover: CurveCover, N: int, config: CensusConfig = CensusConfig())
         # worker is free keep the workers evenly loaded
         chunks = [range(lo, min(lo + _CENSUS_CHUNK, N + 1)) for lo in range(1, N + 1, _CENSUS_CHUNK)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            shards = pool.map(functools.partial(_census_rows, cover, D, config=config), chunks)
+            shards = pool.map(functools.partial(_census_rows, cover, D, known, linear, config=config), chunks)
             rows = [r for shard in shards for r in shard]
 
     complete_seen: set[tuple[int, ...]] = set()
@@ -274,5 +314,5 @@ def run_census(cover: CurveCover, N: int, config: CensusConfig = CensusConfig())
 
 def count_reducible_fibers(cover: CurveCover, N: int) -> int:
     """Reducible-fiber count over n = 1..N (degenerate fibers excluded)."""
-    rows = _census_rows(cover, discriminant_in_u(cover), range(1, N + 1), None)
+    rows = _census_rows(cover, discriminant_in_u(cover), (), (), range(1, N + 1), None)
     return sum(row.irreducible is False for row in rows)

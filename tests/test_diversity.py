@@ -3,13 +3,22 @@ import random
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import divlab.algebra as algebra
 import divlab.diversity as diversity
+import divlab.factorization as factorization
 from conftest import squarefree_kernel_table
-from divlab.algebra import AlgebraError, CurveCover, IntPoly, parse_cover, poly_discriminant
+from divlab.algebra import (
+    AlgebraError,
+    CurveCover,
+    DegenerateCoverError,
+    IntPoly,
+    discriminant_in_u,
+    parse_cover,
+    poly_discriminant,
+)
 from divlab.diversity import (
     CensusConfig,
     DegenerateFiberError,
@@ -20,7 +29,7 @@ from divlab.diversity import (
     is_fiber_irreducible,
     run_census,
 )
-from divlab.factorization import is_irreducible_mod_p
+from divlab.factorization import factor_integer, factor_over_Z, is_irreducible_mod_p
 
 SQRT_COVER = parse_cover("u^2 - t")
 CUBIC_BASE = parse_cover("u^2 - t^3 + 3*t^2 - 2*t")
@@ -94,6 +103,26 @@ def random_covers(draw):
     return CurveCover.of([c * content for c in cols])
 
 
+@st.composite
+def linear_covers(draw):
+    """Covers whose D(t) splits into linear factors over Z: u^2 - h, u^3 - h,
+    u^3 - h*u - h and u^4 - h*u - h (D = 4h, -27h^2, h^2(4h - 27) and
+    -h^3(27h + 256)) for h = a*t + b with a shift b up to 10^6, times a
+    content k0 + k1*t of either sign, which makes c != 1 at some n and
+    vanishes at others (a degenerate fiber)."""
+    h = IntPoly.of([draw(st.integers(-10**6, 10**6)), draw(st.integers(-30, 30).filter(bool))])
+    zero, one = IntPoly.of([]), IntPoly.of([1])
+    cols = draw(st.sampled_from([
+        [-h, zero, one],
+        [-h, zero, zero, one],
+        [-h, -h, zero, one],
+        [-h, -h, zero, zero, one],
+    ]))
+    content = IntPoly.of([draw(st.integers(-6, 6)), draw(st.integers(-2, 2))])
+    assume(not content.is_zero)
+    return CurveCover.of([c * content for c in cols])
+
+
 class TestFiberPipeline:
     @settings(max_examples=150, deadline=None)
     @given(random_covers())
@@ -101,18 +130,27 @@ class TestFiberPipeline:
         # the census reads fiber n's discriminant off D = disc_u(g) as
         # D(n)/c^(2nu-2); each must equal the resultant-based one
         seen = []
-        analyze = diversity._analyze_fiber
+        irreducible = diversity._irreducible
 
-        def checked(n, f, disc, config):
-            assert f == fiber_poly(cover, n) and f.degree == cover.nu
+        def checked(f, disc):
+            assert f.degree == cover.nu
             assert disc == poly_discriminant(f)
-            seen.append(n)
-            return analyze(n, f, disc, config)
+            seen.append(f)
+            return irreducible(f, disc)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(diversity, "_analyze_fiber", checked)
+            mp.setattr(diversity, "_irreducible", checked)
             count_reducible_fibers(cover, 60)
-        assert seen == [n for n in range(1, 61) if cover.lc_u(n) != 0]
+        assert seen == [fiber_poly(cover, n) for n in range(1, 61) if cover.lc_u(n) != 0]
+
+    def test_a_wrong_discriminant_raises(self):
+        # g = t*u^2 - 2*t has c = n, so D(n) = 8n^2 must divide by c^2;
+        # D + 1 does not at n = 2
+        cover = parse_cover("t*u^2 - 2*t")
+        D = discriminant_in_u(cover)
+        assert D == IntPoly.of([0, 0, 8])
+        with pytest.raises(AlgebraError, match="not divisible"):
+            diversity._census_rows(cover, D + IntPoly.of([1]), (), (), range(1, 11), None)
 
     def test_one_specialization_and_one_discriminant_per_fiber(self, monkeypatch):
         # one fiber_poly per fiber, no resultant per fiber: the census
@@ -312,9 +350,25 @@ class TestCensus:
             flags.append(new)
         return flags
 
-    def test_partial_fingerprints_follow_the_known_prime_rule(self):
-        # a rho budget of 200 leaves about a third of these fingerprints partial
-        census = run_census(parse_cover("2*u^4 - t^2*u + 3"), 300, CensusConfig(effort=200))
+    def test_partial_fingerprints_follow_the_known_prime_rule(self, monkeypatch):
+        # a rho budget of 200 leaves about a third of these fingerprints
+        # partial.  D = -108*(t^8 - 512) has no linear factor, so every
+        # fingerprint makes the rho calls of the per-value route
+        cover = parse_cover("2*u^4 - t^2*u + 3")
+        calls = []
+        rho = factorization._brent_rho
+
+        def recorded(n, effort):
+            calls.append((n, effort))
+            return rho(n, effort)
+
+        monkeypatch.setattr(factorization, "_brent_rho", recorded)
+        census = run_census(cover, 300, CensusConfig(effort=200))
+        census_calls, calls[:] = calls[:], []
+        for row in census.per_n:
+            if row.fingerprint is not None:
+                assert fingerprint(fiber_poly(cover, row.n), 200) == row.fingerprint
+        assert census_calls == calls and len(calls) > 100
         partial = [r for r in census.per_n if r.fingerprint is not None and not r.fingerprint.complete]
         assert len(partial) == 104
         flags = self.known_prime_flags(census.per_n)
@@ -325,3 +379,43 @@ class TestCensus:
         census = run_census(parse_cover("t*u^2 - u - 1"), 50)
         assert len(census.per_n) == 50
         assert census.skipped == ()
+
+
+class TestLinearSieve:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(random_covers(), linear_covers()))
+    @example(parse_cover("u^2 - t + 5"))  # a*n + b = 0 at n = 5
+    @example(parse_cover("t*u^2 - 5*u^2 + t"))  # degenerate at n = 5
+    @example(parse_cover("-t*u^3 + t^2*u + 2*t*u + t^2 + 2*t"))  # c = n, lc < 0
+    def test_census_fingerprints_match_the_per_value_oracle(self, cover):
+        # fingerprints read off the sieved primes of D's linear factors
+        # agree with factoring each fiber discriminant whole, and a D that
+        # splits into linear factors leaves nothing to factor but its content
+        factored = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diversity, "factor_integer", lambda v, **kw: factored.append(v) or factor_integer(v, **kw))
+            try:
+                census = run_census(cover, 60, CensusConfig(effort=2000, delta=1.0))
+            except DegenerateCoverError:
+                assume(False)
+        content, factors = factor_over_Z(discriminant_in_u(cover))
+        splits = all(h.degree == 1 for h, _ in factors)
+        if splits:
+            assert factored in ([], [content])
+        for row in census.per_n:
+            if row.fingerprint is not None:
+                want = fingerprint(fiber_poly(cover, row.n), 2000)
+                if want.complete:
+                    assert row.fingerprint == want
+                assert row.fingerprint.complete or not splits
+
+    def test_sieve_rows_do_not_depend_on_the_worker_count(self):
+        # D = -t^3*(27t + 256): at N = 130 the sieve runs the primes up to
+        # isqrt(27*130 + 256) = 61, and those above 25 stride across the
+        # 25-fiber chunks the workers take
+        cover = parse_cover("u^4 - t*u - t")
+        lone, pair = (run_census(cover, 130, CensusConfig(workers=w)) for w in (1, 2))
+        assert lone.per_n == pair.per_n
+        assert any(25 < p <= 61 and (27 * row.n + 256) % p == 0
+                   for row in lone.per_n if row.fingerprint is not None
+                   for p in row.fingerprint.odd_valuation_primes)

@@ -494,6 +494,12 @@ class TestBrentRho:
         n = math.prod(sympy.prevprime(b) for b in bounds)
         assert _brent_rho(n, effort) == _brent_rho_one_step_at_a_time(n, effort)
 
+    @pytest.mark.xfail(strict=True, reason="returns 0 once the budget runs out, dropping the gcd it holds")
+    def test_keeps_a_factor_found_as_the_budget_runs_out(self):
+        # fiber 759 of 2*u^4 - t^2*u + 3 leaves this cofactor; the rho
+        # gcd splits it in the last batch before the budget of 10^6 runs out
+        assert _brent_rho(110137244602142499110209, 10**6) in (227811872881, 483456999889)
+
 
 class TestIsPrime:
     def test_small_range_against_sympy(self):
