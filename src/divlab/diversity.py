@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -106,7 +107,7 @@ def fingerprint(fpoly: IntPoly, effort: int = 1_000_000) -> FieldFingerprint:
     return _fingerprint(poly_discriminant(fpoly), [], effort)
 
 
-def _fingerprint(disc: int, primes: list[int], effort: int) -> FieldFingerprint:
+def _fingerprint(disc: int, primes: Sequence[int], effort: int) -> FieldFingerprint:
     """The fingerprint of disc, given some primes (repeats allowed): their
     valuations by exact division, factor_integer on what they leave."""
     if disc == 0:
@@ -184,15 +185,17 @@ _CENSUS_CHUNK = 25
 def _sieved_primes(known: tuple[int, ...], linear: tuple[IntPoly, ...], ns: range) -> list[list[int]]:
     """For each n in ns, the known primes plus the primes of a*n + b for
     each primitive a*t + b (a > 0) in linear, found by sieving ns: a prime
-    p <= isqrt(max |a*n + b|), p not dividing a (nor then a*n + b),
-    divides exactly the a*n + b with n = -b/a mod p, and what the sieve
-    leaves of |a*n + b| above 1 is prime.  A zero a*n + b gets nothing:
-    that fiber's discriminant is zero, so it is reducible."""
+    p <= limit = min(isqrt(max |a*n + b|), _TRIAL_BOUND), p not dividing a,
+    divides exactly the a*n + b with n = -b/a mod p.  What is left of
+    |a*n + b| above 1 is prime below (limit + 1)^2, else it stays in the
+    discriminant for factor_integer.  A zero a*n + b gets nothing: that
+    fiber's discriminant is zero, so it is reducible."""
     found = [list(known) for _ in ns]
     for h in linear:
         b, a = h.coeffs
         rest = [abs(a * n + b) for n in ns]
-        for p in prime_sieve(max(2, math.isqrt(max(rest)))):
+        limit = min(math.isqrt(max(rest)), _TRIAL_BOUND)
+        for p in prime_sieve(max(2, limit)):
             if a % p == 0:
                 continue
             for i in range((-b * pow(a, -1, p) - ns[0]) % p, len(ns), p):
@@ -205,21 +208,21 @@ def _sieved_primes(known: tuple[int, ...], linear: tuple[IntPoly, ...], ns: rang
                     rest[i] = v
                     found[i].append(p)
         for primes, v in zip(found, rest):
-            if v > 1:
+            if v > 1 and math.isqrt(v) <= limit:
                 primes.append(v)
     return found
 
 
-def _census_rows(cover: CurveCover, D: IntPoly, known: tuple[int, ...], linear: tuple[IntPoly, ...],
-                 ns: range, config: Optional[CensusConfig]) -> list[CensusRow]:
-    """Rows for the fibers n in ns, given D = discriminant_in_u(cover), the
-    primes known of its content and its linear factors over Z: no fiber
-    needs a resultant.  With g(n, u) = c*f, f = fiber_poly(cover, n),
+def _census_rows(cover: CurveCover, D: IntPoly, ns: range, primes: Sequence[Sequence[int]],
+                 config: Optional[CensusConfig]) -> list[CensusRow]:
+    """Rows for the fibers n in ns, given D = discriminant_in_u(cover) and
+    some primes of each fiber's discriminant (see _sieved_primes): no
+    fiber needs a resultant.  With g(n, u) = c*f, f = fiber_poly(cover, n),
     disc(f) = D(n)/c^(2nu-2) exactly, since the discriminant is homogeneous
     of degree 2nu-2 in the coefficients and f keeps degree nu.  An
     irreducible fiber is fingerprinted when a census config is given."""
     rows: list[CensusRow] = []
-    for n, primes in zip(ns, _sieved_primes(known, linear, ns)):
+    for n, known in zip(ns, primes):
         try:
             f = fiber_poly(cover, n)
         except DegenerateFiberError:
@@ -229,7 +232,7 @@ def _census_rows(cover: CurveCover, D: IntPoly, known: tuple[int, ...], linear: 
         if rem:
             raise AlgebraError(f"D({n}) is not divisible by c^(2nu-2): D is not disc_u of the cover")
         irr = _irreducible(f, disc)
-        fp = _fingerprint(disc, primes, config.effort) if irr and config is not None else None
+        fp = _fingerprint(disc, known, config.effort) if irr and config is not None else None
         rows.append(CensusRow(n=n, fiber_degree=f.degree, irreducible=irr, fingerprint=fp, new_field=False))
     return rows
 
@@ -255,14 +258,12 @@ def run_census(cover: CurveCover, N: int, config: CensusConfig = CensusConfig())
     eta = eta_exponent(F.degree, delta).eta
     D = discriminant_in_u(cover)
     content, factors = factor_over_Z(D)
-    linear = tuple(h for h, _ in factors if h.degree == 1)
-    # with a factor of higher degree, factor_integer finds the content's
-    # primes in every discriminant anyway
-    split = len(linear) == len(factors) and abs(content) > 1
-    known = factor_integer(content, effort=config.effort).primes if split else ()
+    ns = range(1, N + 1)
+    known = factor_integer(content, effort=config.effort).primes
+    primes = _sieved_primes(known, tuple(h for h, _ in factors if h.degree == 1), ns)
     workers = max(1, config.workers)
     if workers == 1:
-        rows = _census_rows(cover, D, known, linear, range(1, N + 1), config)
+        rows = _census_rows(cover, D, ns, primes, config)
     else:
         # imported here: the process pool's modules would add ~25 ms to
         # every single-worker run's start-up
@@ -270,9 +271,11 @@ def run_census(cover: CurveCover, N: int, config: CensusConfig = CensusConfig())
 
         # per-fiber cost grows with n: small chunks pulled by whichever
         # worker is free keep the workers evenly loaded
-        chunks = [range(lo, min(lo + _CENSUS_CHUNK, N + 1)) for lo in range(1, N + 1, _CENSUS_CHUNK)]
+        starts = range(0, N, _CENSUS_CHUNK)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            shards = pool.map(functools.partial(_census_rows, cover, D, known, linear, config=config), chunks)
+            shards = pool.map(functools.partial(_census_rows, cover, D, config=config),
+                              [ns[i:i + _CENSUS_CHUNK] for i in starts],
+                              [primes[i:i + _CENSUS_CHUNK] for i in starts])
             rows = [r for shard in shards for r in shard]
 
     complete_seen: set[tuple[int, ...]] = set()
@@ -314,5 +317,5 @@ def run_census(cover: CurveCover, N: int, config: CensusConfig = CensusConfig())
 
 def count_reducible_fibers(cover: CurveCover, N: int) -> int:
     """Reducible-fiber count over n = 1..N (degenerate fibers excluded)."""
-    rows = _census_rows(cover, discriminant_in_u(cover), (), (), range(1, N + 1), None)
+    rows = _census_rows(cover, discriminant_in_u(cover), range(1, N + 1), [()] * N, None)
     return sum(row.irreducible is False for row in rows)

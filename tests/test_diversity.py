@@ -150,7 +150,7 @@ class TestFiberPipeline:
         D = discriminant_in_u(cover)
         assert D == IntPoly.of([0, 0, 8])
         with pytest.raises(AlgebraError, match="not divisible"):
-            diversity._census_rows(cover, D + IntPoly.of([1]), (), (), range(1, 11), None)
+            diversity._census_rows(cover, D + IntPoly.of([1]), range(1, 11), [()] * 10, None)
 
     def test_one_specialization_and_one_discriminant_per_fiber(self, monkeypatch):
         # one fiber_poly per fiber, no resultant per fiber: the census
@@ -352,8 +352,9 @@ class TestCensus:
 
     def test_partial_fingerprints_follow_the_known_prime_rule(self, monkeypatch):
         # a rho budget of 200 leaves about a third of these fingerprints
-        # partial.  D = -108*(t^8 - 512) has no linear factor, so every
-        # fingerprint makes the rho calls of the per-value route
+        # partial.  D = -108*(t^8 - 512) has no linear factor, and the
+        # trial gcd would strip its content's primes 2 and 3 anyway, so
+        # every fingerprint makes the rho calls of the per-value route
         cover = parse_cover("2*u^4 - t^2*u + 3")
         calls = []
         rho = factorization._brent_rho
@@ -400,8 +401,9 @@ class TestLinearSieve:
                 assume(False)
         content, factors = factor_over_Z(discriminant_in_u(cover))
         splits = all(h.degree == 1 for h, _ in factors)
+        assert factored[0] == content
         if splits:
-            assert factored in ([], [content])
+            assert factored == [content]
         for row in census.per_n:
             if row.fingerprint is not None:
                 want = fingerprint(fiber_poly(cover, row.n), 2000)
@@ -419,3 +421,27 @@ class TestLinearSieve:
         assert any(25 < p <= 61 and (27 * row.n + 256) % p == 0
                    for row in lone.per_n if row.fingerprint is not None
                    for p in row.fingerprint.odd_valuation_primes)
+
+    @pytest.mark.parametrize("constant, effort", [(10**18, 10**6), (10**30, 2000)])
+    def test_a_large_constant_term_keeps_the_sieve_at_the_trial_bound(self, monkeypatch, constant, effort):
+        # D = 4*(t + constant): sieving to isqrt of its values would need
+        # the primes up to 10^9 or 10^15; the sieve stops at the trial
+        # bound and leaves the rest of each value to factor_integer
+        cover = parse_cover(f"u^2 - t - {constant}")
+        limits = []
+        sieve = diversity.prime_sieve
+        monkeypatch.setattr(diversity, "prime_sieve", lambda limit: limits.append(limit) or sieve(limit))
+        census = run_census(cover, 12, CensusConfig(effort=effort, delta=1.0))
+        assert limits == [diversity._TRIAL_BOUND]
+        assert [row.fingerprint for row in census.per_n] == [fingerprint(fiber_poly(cover, n), effort)
+                                                             for n in range(1, 13)]
+
+    def test_the_sieve_runs_once_per_linear_factor_at_any_worker_count(self, monkeypatch):
+        # D = t^2*(4t - 27): two linear factors, sieved once over n = 1..N
+        # and handed to the workers chunk by chunk
+        limits = []
+        sieve = diversity.prime_sieve
+        monkeypatch.setattr(diversity, "prime_sieve", lambda limit: limits.append(limit) or sieve(limit))
+        census = run_census(parse_cover("u^3 - t*u - t"), 300, CensusConfig(workers=2, delta=1.0))
+        assert sorted(limits) == [math.isqrt(300), math.isqrt(4 * 300 - 27)]
+        assert census.per_n == run_census(parse_cover("u^3 - t*u - t"), 300, CensusConfig(delta=1.0)).per_n
