@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,19 +45,25 @@ def is_fiber_irreducible(cover: CurveCover, n: int) -> Optional[bool]:
     irreducible mod some good prime (Ben-Or's distinct-degree test, run
     only at p = 2 and at odd p with (disc/p) = (-1)^(deg-1)); when no
     good prime certifies a cubic or higher fiber, the full factorization
-    over Z decides.  None is reserved for budget-limited unknowns."""
+    over Z decides.  None is reserved for budget-limited unknowns.  The
+    census takes these routes only as its fallback, for the fibers that
+    no residue table certifies (see _certified); the tests use this
+    function as the oracle for those tables."""
     f = fiber_poly(cover, n)
-    return _irreducible(f, poly_discriminant(f))
+    return _irreducible(f.degree, poly_discriminant(f), lambda: f)
 
 
-def _irreducible(f: IntPoly, disc: int) -> bool:
-    """The routes of is_fiber_irreducible, given disc = disc(f)."""
-    if f.degree <= 1:
+def _irreducible(degree: int, disc: int, fiber: Callable[[], IntPoly]) -> bool:
+    """The routes of is_fiber_irreducible, given the degree and disc of
+    the primitive fiber f that fiber() builds; degree and disc decide
+    degree <= 2 and disc = 0 without it."""
+    if degree <= 1:
         return True
-    if f.degree == 2:
+    if degree == 2:
         return disc < 0 or math.isqrt(disc) ** 2 != disc
     if disc == 0:
         return False
+    f = fiber()
     good = 0
     p = 2
     while good < 10:
@@ -77,6 +83,35 @@ def _irreducible(f: IntPoly, disc: int) -> bool:
         p += 1
     _, factors = factor_over_Z(f)
     return len(factors) == 1 and factors[0][1] == 1
+
+
+# the primes whose residue tables certify census fibers: those below 60
+_TABLE_PRIMES = prime_sieve(59)
+
+
+def _residue_tables(cover: CurveCover) -> dict[int, list[bool]]:
+    """{p: table} over _TABLE_PRIMES, where table[r] says that p does not
+    divide lc_u(r) and g(r, u) is irreducible mod p.  For n = r mod p,
+    g(n, u) = g(r, u) mod p, so then f = g(n, u)/c is irreducible mod p
+    of full degree (c divides lc_u(n), so p does not divide c), and
+    hence irreducible over Q.  The lc test comes first: where lc_u(r) = 0
+    the specialization drops degree, and a lower-degree polynomial that
+    is irreducible mod p says nothing about the fibers n = r mod p."""
+    return {p: [cover.lc_u(r) % p != 0 and is_irreducible_mod_p(cover.at_t(r), p) for r in range(p)]
+            for p in _TABLE_PRIMES}
+
+
+def _certified(cover: CurveCover, ns: range) -> list[bool]:
+    """For each n in ns, whether a residue table certifies g(n, u)
+    irreducible.  Degree <= 2 builds no table: degree and disc decide."""
+    certified = [False] * len(ns)
+    if cover.nu >= 3:
+        for p, table in _residue_tables(cover).items():
+            for r in range(p):
+                if table[r]:
+                    start = (r - ns[0]) % p
+                    certified[start::p] = [True] * len(range(start, len(ns), p))
+    return certified
 
 
 @dataclass(frozen=True)
@@ -213,39 +248,54 @@ def _sieved_primes(known: tuple[int, ...], linear: tuple[IntPoly, ...], ns: rang
     return found
 
 
+def _fiber_discriminant(coeffs: Sequence[int], Dn: int) -> int:
+    """disc(f) for f = g(n, u)/c, c = gcd(coeffs), from the u-coefficients
+    of g(n, u) (leading one nonzero) and Dn = D(n): D(n)/c^(2nu-2), exact
+    since the discriminant is homogeneous of degree 2nu-2 in the
+    coefficients and f keeps degree nu.  A remainder means D is not disc_u."""
+    disc, rem = divmod(Dn, math.gcd(*coeffs) ** (2 * len(coeffs) - 4))
+    if rem:
+        raise AlgebraError(f"D(n) = {Dn} is not divisible by c^(2nu-2): D is not disc_u of the cover")
+    return disc
+
+
 def _census_rows(cover: CurveCover, D: IntPoly, ns: range, primes: Sequence[Sequence[int]],
-                 config: Optional[CensusConfig]) -> list[CensusRow]:
-    """Rows for the fibers n in ns, given D = discriminant_in_u(cover) and
-    some primes of each fiber's discriminant (see _sieved_primes): no
-    fiber needs a resultant.  With g(n, u) = c*f, f = fiber_poly(cover, n),
-    disc(f) = D(n)/c^(2nu-2) exactly, since the discriminant is homogeneous
-    of degree 2nu-2 in the coefficients and f keeps degree nu.  An
-    irreducible fiber is fingerprinted when a census config is given."""
+                 certified: Sequence[bool], config: Optional[CensusConfig]) -> list[CensusRow]:
+    """Rows for the fibers n in ns, given D = discriminant_in_u(cover),
+    some primes of each fiber's discriminant (see _sieved_primes) and
+    each fiber's residue-table verdict (see _certified).  The
+    u-coefficients of g(n, u) are evaluated once: a zero leading one is a
+    degenerate fiber, and D(n) gives the discriminant (see
+    _fiber_discriminant), so no fiber needs a resultant.  Only a fiber of
+    degree >= 3 that no table certifies builds fiber_poly, for the routes
+    of is_fiber_irreducible.  An irreducible fiber is fingerprinted when
+    a census config is given."""
     rows: list[CensusRow] = []
-    for n, known in zip(ns, primes):
-        try:
-            f = fiber_poly(cover, n)
-        except DegenerateFiberError:
+    nu = cover.nu
+    for n, known, cert in zip(ns, primes, certified):
+        coeffs = [h(n) for h in cover.coeffs_u]
+        if coeffs[-1] == 0:
             rows.append(CensusRow(n=n, fiber_degree=-1, irreducible=None, fingerprint=None, new_field=False))
             continue
-        disc, rem = divmod(D(n), (cover.lc_u(n) // f.lc) ** (2 * f.degree - 2))
-        if rem:
-            raise AlgebraError(f"D({n}) is not divisible by c^(2nu-2): D is not disc_u of the cover")
-        irr = _irreducible(f, disc)
+        disc = _fiber_discriminant(coeffs, D(n))
+        irr = cert or _irreducible(nu, disc, functools.partial(fiber_poly, cover, n))
         fp = _fingerprint(disc, known, config.effort) if irr and config is not None else None
-        rows.append(CensusRow(n=n, fiber_degree=f.degree, irreducible=irr, fingerprint=fp, new_field=False))
+        rows.append(CensusRow(n=n, fiber_degree=nu, irreducible=irr, fingerprint=fp, new_field=False))
     return rows
 
 
 def run_census(cover: CurveCover, N: int, config: CensusConfig = CensusConfig()) -> DiversityCensus:
-    """Walk n = 1..N: specialize, test irreducibility, fingerprint the
-    irreducible fibers, and count distinct fingerprints conservatively:
-    a complete fingerprint counts when no complete one before it has its
-    primes, a partial one only when no fingerprint before it, complete or
-    partial, has its known primes.  D = disc_u(g) is computed once, and
-    fiber n's discriminant is D(n)/c^(2nu-2), exact (see _census_rows).
-    D is factored over Z once, so factor_integer sees only what the
-    primes of its content and linear factors leave (see _sieved_primes).
+    """Walk n = 1..N: test irreducibility, fingerprint the irreducible
+    fibers, and count distinct fingerprints conservatively: a complete
+    fingerprint counts when no complete one before it has its primes, a
+    partial one only when no fingerprint before it, complete or partial,
+    has its known primes.  Each fact is computed once per run, before the
+    walk, in this process at any worker count: D = disc_u(g), whose value
+    at n gives fiber n's discriminant (see _census_rows); D's factors
+    over Z, so factor_integer sees only what the primes of its content
+    and linear factors leave (see _sieved_primes); and one residue table
+    per prime below 60, which certifies most fibers of degree >= 3
+    irreducible from n mod p alone (see _certified).
     eta comes first, from F = critical_polynomial(cover) and delta
     (measured on F unless the config sets it), so a degenerate cover
     raises before any fiber is specialized."""
@@ -261,9 +311,10 @@ def run_census(cover: CurveCover, N: int, config: CensusConfig = CensusConfig())
     ns = range(1, N + 1)
     known = factor_integer(content, effort=config.effort).primes
     primes = _sieved_primes(known, tuple(h for h, _ in factors if h.degree == 1), ns)
+    certified = _certified(cover, ns)
     workers = max(1, config.workers)
     if workers == 1:
-        rows = _census_rows(cover, D, ns, primes, config)
+        rows = _census_rows(cover, D, ns, primes, certified, config)
     else:
         # imported here: the process pool's modules would add ~25 ms to
         # every single-worker run's start-up
@@ -275,7 +326,8 @@ def run_census(cover: CurveCover, N: int, config: CensusConfig = CensusConfig())
         with ProcessPoolExecutor(max_workers=workers) as pool:
             shards = pool.map(functools.partial(_census_rows, cover, D, config=config),
                               [ns[i:i + _CENSUS_CHUNK] for i in starts],
-                              [primes[i:i + _CENSUS_CHUNK] for i in starts])
+                              [primes[i:i + _CENSUS_CHUNK] for i in starts],
+                              [certified[i:i + _CENSUS_CHUNK] for i in starts])
             rows = [r for shard in shards for r in shard]
 
     complete_seen: set[tuple[int, ...]] = set()
@@ -314,8 +366,3 @@ def run_census(cover: CurveCover, N: int, config: CensusConfig = CensusConfig())
         eta=eta,
     )
 
-
-def count_reducible_fibers(cover: CurveCover, N: int) -> int:
-    """Reducible-fiber count over n = 1..N (degenerate fibers excluded)."""
-    rows = _census_rows(cover, discriminant_in_u(cover), range(1, N + 1), [()] * N, None)
-    return sum(row.irreducible is False for row in rows)

@@ -11,7 +11,6 @@ from fractions import Fraction
 from conftest import brute_force_MF, squarefree_kernel_table
 from divlab.algebra import IntPoly, parse_cover
 from divlab.diversity import (
-    count_reducible_fibers,
     eta_exponent,
     fiber_poly,
     fingerprint,
@@ -29,6 +28,7 @@ from divlab.witnesses import (
     verify_property_E,
     witnesses_for_MF,
 )
+from test_diversity import count_reducible_fibers
 
 T = IntPoly.of([0, 1])
 T2P1 = IntPoly.of([1, 0, 1])

@@ -502,8 +502,9 @@ class TestDiversityCommand:
         assert a == b
         assert b"\r" not in a  # LF line endings
 
-    # sha256 of census.csv and of stdout with the output directory masked,
-    # recorded before fiber discriminants were read off disc_u(g)
+    # sha256 of census.csv and of stdout with the output directory masked:
+    # the first two recorded before fiber discriminants were read off
+    # disc_u(g), the last three before residue tables decided irreducibility
     PINNED = [
         ("u^3 - t*u - t", "2000",
          "358893798b5bc2244f56aa88f2345ff1d3c8028e68f9f3aa9cda3328f401d59f",
@@ -511,6 +512,15 @@ class TestDiversityCommand:
         ("2*u^4 - t^2*u + 3", "200",
          "1caf98bd98e278148d143787f484595b48f75478e1ccbef3440dfd701146bc45",
          "5e5ce692fae7413aa2f8fa902ee3bf67acc9f53acc8284d7f8dda6253e9d8fe3"),
+        ("u^3 - t", "1000",
+         "911cceaf7d4970f963ea47232ff5624d162df6b831e8654ac933fa51c884faf1",
+         "54d64296e509afa6eac4a1c65a4de3fb41939f365a9004cfa778fce56c8cbdd9"),
+        ("u^4 - t*u - t", "1000",
+         "e69518348e3010ae12decf7a228a26d12bff7b47f7eff8f2157046fa53bdc02b",
+         "e18a348f9f0847f1e6d74377382253d3f8c90d1fd906ba06d1681b2d8483e02f"),
+        ("t*u^3 - u - 1", "500",
+         "3c71e947e641b1366f46ff8b85816f6a46fc161692669e0b5860f2300d294b69",
+         "fa45c8f922278ce7305d1442a9cccf3e2bc0c02c139dab1d063f44a2ee146aa1"),
     ]
 
     @pytest.mark.parametrize("workers", ["1", "2"])

@@ -22,7 +22,6 @@ from divlab.algebra import (
 from divlab.diversity import (
     CensusConfig,
     DegenerateFiberError,
-    count_reducible_fibers,
     eta_exponent,
     fiber_poly,
     fingerprint,
@@ -35,6 +34,26 @@ SQRT_COVER = parse_cover("u^2 - t")
 CUBIC_BASE = parse_cover("u^2 - t^3 + 3*t^2 - 2*t")
 
 u = sympy.Symbol("u")
+
+
+def census_rows(cover, N):
+    """The census's rows for n = 1..N without fingerprints: residue tables,
+    then the degree routes.  Needs no critical value, so any cover runs."""
+    ns = range(1, N + 1)
+    return diversity._census_rows(cover, discriminant_in_u(cover), ns, [()] * N,
+                                  diversity._certified(cover, ns), None)
+
+
+def count_reducible_fibers(cover, N):
+    """Reducible-fiber count over n = 1..N (degenerate fibers excluded)."""
+    return sum(row.irreducible is False for row in census_rows(cover, N))
+
+
+def sympy_irreducible(f):
+    """Is the IntPoly f irreducible over Q?  sympy's factor_list, with
+    degree <= 1 irreducible."""
+    factors = sympy.Poly(list(reversed(f.coeffs)), u).factor_list()[1]
+    return f.degree <= 1 or (len(factors) == 1 and factors[0][1] == 1)
 
 
 class TestFiberPoly:
@@ -73,13 +92,7 @@ class TestIrreducibility:
         for _ in range(150):
             cover = rng.choice(covers)
             n = rng.randint(1, 3000)
-            f = fiber_poly(cover, n)
-            got = is_fiber_irreducible(cover, n)
-            poly = sympy.Poly(list(reversed(f.coeffs)), u)
-            want = len(poly.factor_list()[1]) == 1 and poly.factor_list()[1][0][1] == 1
-            if f.degree <= 1:
-                want = True
-            assert got is want
+            assert is_fiber_irreducible(cover, n) is sympy_irreducible(fiber_poly(cover, n))
 
     def test_pure_cubic_reducible_exactly_at_cubes(self):
         cover = parse_cover("u^3 - t")
@@ -127,53 +140,77 @@ class TestFiberPipeline:
     @settings(max_examples=150, deadline=None)
     @given(random_covers())
     def test_census_discriminants_match_the_resultant(self, cover):
-        # the census reads fiber n's discriminant off D = disc_u(g) as
-        # D(n)/c^(2nu-2); each must equal the resultant-based one
-        seen = []
-        irreducible = diversity._irreducible
+        # the census reads every fiber's discriminant off D = disc_u(g) as
+        # D(n)/c^(2nu-2), whether a residue table certifies the fiber or
+        # not; each must equal the resultant-based one.  The fibers no
+        # table certifies reach the degree routes with fiber_poly's
+        # polynomial, of degree nu
+        discs, reached = [], []
+        fiber_discriminant, irreducible = diversity._fiber_discriminant, diversity._irreducible
 
-        def checked(f, disc):
-            assert f.degree == cover.nu
+        def recorded(coeffs, Dn):
+            discs.append(fiber_discriminant(coeffs, Dn))
+            return discs[-1]
+
+        def checked(degree, disc, fiber):
+            f = fiber()
+            assert degree == f.degree == cover.nu
             assert disc == poly_discriminant(f)
-            seen.append(f)
-            return irreducible(f, disc)
+            reached.append(f)
+            return irreducible(degree, disc, lambda: f)
 
         with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diversity, "_fiber_discriminant", recorded)
             mp.setattr(diversity, "_irreducible", checked)
-            count_reducible_fibers(cover, 60)
-        assert seen == [fiber_poly(cover, n) for n in range(1, 61) if cover.lc_u(n) != 0]
+            rows = census_rows(cover, 60)
+        live = [n for n in range(1, 61) if cover.lc_u(n) != 0]
+        certified = diversity._certified(cover, range(1, 61))
+        assert discs == [poly_discriminant(fiber_poly(cover, n)) for n in live]
+        assert reached == [fiber_poly(cover, n) for n in live if not certified[n - 1]]
+        assert [row.fiber_degree for row in rows] == [cover.nu if n in live else -1 for n in range(1, 61)]
 
-    def test_a_wrong_discriminant_raises(self):
+    @pytest.mark.parametrize("certified", [False, True])
+    def test_a_wrong_discriminant_raises(self, certified):
         # g = t*u^2 - 2*t has c = n, so D(n) = 8n^2 must divide by c^2;
-        # D + 1 does not at n = 2
+        # D + 1 does not at n = 2, and a fiber a table certifies is
+        # checked all the same
         cover = parse_cover("t*u^2 - 2*t")
         D = discriminant_in_u(cover)
         assert D == IntPoly.of([0, 0, 8])
         with pytest.raises(AlgebraError, match="not divisible"):
-            diversity._census_rows(cover, D + IntPoly.of([1]), range(1, 11), [()] * 10, None)
+            diversity._census_rows(cover, D + IntPoly.of([1]), range(1, 11), [()] * 10, [certified] * 10, None)
 
-    def test_one_specialization_and_one_discriminant_per_fiber(self, monkeypatch):
-        # one fiber_poly per fiber, no resultant per fiber: the census
-        # evaluates D = discriminant_in_u(cover) once per run, and the
-        # eta step's critical_polynomial reuses it
-        calls = {"fiber_poly": 0, "poly_discriminant": 0}
+    def test_fiber_poly_only_for_the_fibers_no_table_certifies(self, monkeypatch):
+        # on u^3 - t*u - t at N = 2200, exactly 3 fibers are irreducible
+        # mod no prime below 60: 8 (reducible: (u + 2)(u^2 - 2u - 4)), 770
+        # and 2168.  Only they build fiber_poly, no fiber computes a
+        # resultant, the main process builds none at workers 2, and the census
+        # evaluates D = discriminant_in_u(cover) once per run (the eta
+        # step's critical_polynomial reuses it)
+        cover = parse_cover("u^3 - t*u - t")
+        uncertified = [n for n in range(1, 2201)
+                       if not any(is_irreducible_mod_p(fiber_poly(cover, n), p) for p in sympy.primerange(60))]
+        assert uncertified == [8, 770, 2168]
+        specialized, calls = [], {"fiber_poly": 0, "poly_discriminant": 0}
         for name in calls:
             original = getattr(diversity, name)
 
             def counted(*args, _name=name, _original=original):
                 calls[_name] += 1
+                if _name == "fiber_poly":
+                    specialized.append(args[1])
                 return _original(*args)
 
             monkeypatch.setattr(diversity, name, counted)
-        cover = parse_cover("u^3 - t*u - t")
         for workers in (1, 2):
             algebra.discriminant_in_u.cache_clear()
-            census = run_census(cover, 200, CensusConfig(workers=workers))
-            assert len(census.per_n) == 200 and census.skipped == ()
+            census = run_census(cover, 2200, CensusConfig(workers=workers))
+            assert len(census.per_n) == 2200 and census.skipped == ()
+            assert census.per_n[7].irreducible is False and census.reducible_count == 1
             assert algebra.discriminant_in_u.cache_info().misses == 1
-            if workers == 1:
-                # worker processes keep their own counts
-                assert calls == {"fiber_poly": 200, "poly_discriminant": 0}
+            # worker processes keep their own counts
+            assert calls == {"fiber_poly": 3, "poly_discriminant": 0}
+            assert specialized == uncertified
 
     # degree >= 4 fibers: the distinct-degree irreducibility test runs only
     # at primes that can certify
@@ -196,10 +233,7 @@ class TestFiberPipeline:
         for text in self.HIGH_DEGREE:
             cover = parse_cover(text)
             for n in range(1, 101):
-                poly = sympy.Poly(list(reversed(fiber_poly(cover, n).coeffs)), u)
-                factors = poly.factor_list()[1]
-                want = len(factors) == 1 and factors[0][1] == 1
-                assert is_fiber_irreducible(cover, n) is want
+                assert is_fiber_irreducible(cover, n) is sympy_irreducible(fiber_poly(cover, n))
         assert tried
         for f, p in tried:
             assert p == 2 or self.can_certify(f, poly_discriminant(f), p)
@@ -216,6 +250,57 @@ class TestFiberPipeline:
                         skipped += 1
                         assert not is_irreducible_mod_p(f, p)
         assert skipped > 1000
+
+
+class TestResidueTables:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(random_covers(), linear_covers()))
+    # lc = t vanishes at r = 0: without the lc test the tables would
+    # certify the reducible fibers 2 = (u - 1)(2u^2 + 2u + 1) and 51
+    @example(parse_cover("t*u^3 - u - 1"))
+    @example(parse_cover("t*u^3 + u^2 - 2"))
+    @example(parse_cover("-t*u^3 + t^2*u + 2*t*u + t^2 + 2*t"))  # c = n, lc < 0
+    @example(parse_cover("t*u^2 - 5*u^2 + t"))  # degenerate at n = 5
+    def test_census_verdicts_match_the_per_fiber_oracle(self, cover):
+        for row in census_rows(cover, 60):
+            if cover.lc_u(row.n) == 0:
+                assert row.irreducible is None
+            else:
+                assert row.irreducible is is_fiber_irreducible(cover, row.n)
+
+    @pytest.mark.parametrize("text", ["u^3 - t*u - t", "u^3 - t", "t*u^3 - u - 1", "t*u^3 + u^2 - 2",
+                                      "2*u^4 - t^2*u + 3", "-t*u^3 + t^2*u + 2*t*u + t^2 + 2*t"])
+    def test_every_true_entry_certifies_its_residue_class(self, text):
+        # sympy factors the fibers n = r, r + p, r + 37p and r + 1000p of
+        # every True entry (p, r); an entry whose lc_u(r) vanishes mod p
+        # is False whatever g(r, u) is mod p
+        cover = parse_cover(text)
+        tables = diversity._residue_tables(cover)
+        assert sorted(tables) == list(sympy.primerange(60))
+        checked = 0
+        for p, table in tables.items():
+            assert len(table) == p
+            for r, entry in enumerate(table):
+                if cover.lc_u(r) % p == 0:
+                    assert not entry
+                elif entry:
+                    for n in (r + k * p for k in (0, 1, 37, 1000)):
+                        assert sympy_irreducible(fiber_poly(cover, n))
+                        checked += 1
+        assert checked > 300
+
+    def test_tables_are_built_once_per_run(self, monkeypatch):
+        # one test per residue of each prime below 60, sum(p) = 440 on a
+        # monic cover, whatever N and the worker count; the cubic fibers
+        # no table certifies take the root route, not this kernel
+        calls = []
+        kernel = diversity.is_irreducible_mod_p
+        monkeypatch.setattr(diversity, "is_irreducible_mod_p", lambda f, p: calls.append(p) or kernel(f, p))
+        cover = parse_cover("u^3 - t*u - t")
+        for N, workers in ((10, 1), (2000, 1), (130, 2), (2000, 3)):
+            calls.clear()
+            run_census(cover, N, CensusConfig(workers=workers, delta=1.0))
+            assert len(calls) == sum(sympy.primerange(60)) == 440
 
 
 class TestFingerprint:
@@ -321,8 +406,14 @@ class TestCensus:
         quad = run_census(SQRT_COVER, 400, CensusConfig(workers=4))
         assert lone.per_n == quad.per_n
         assert lone.distinct_lower_bound == quad.distinct_lower_bound
-        # workers pull small chunks of fibers in whatever order they finish
-        for text, N in (("u^3 - t*u - t", 300), ("2*u^4 - t^2*u + 3", 60)):
+        # workers pull 25-fiber chunks in whatever order they finish, each
+        # with its slice of the residue-table verdicts; 25 lines up with no
+        # table prime, at N = 130 the quartic leaves three fibers to the
+        # per-fiber routes, and the reducible cubes 27, 64 and 125 of
+        # u^3 - t lie in chunks a misplaced slice would certify
+        certified = diversity._certified(parse_cover("2*u^4 - t^2*u + 3"), range(1, 131))
+        assert [n for n, cert in zip(range(1, 131), certified) if not cert] == [25, 80, 90]
+        for text, N in (("u^3 - t*u - t", 300), ("2*u^4 - t^2*u + 3", 130), ("u^3 - t", 130)):
             runs = [run_census(parse_cover(text), N, CensusConfig(workers=w))
                     for w in (1, 2, 3)]
             assert runs[0].per_n == runs[1].per_n == runs[2].per_n
