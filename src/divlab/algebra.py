@@ -126,13 +126,6 @@ class IntPoly:
     def __mul__(self, other: "IntPoly") -> "IntPoly":
         return IntPoly.of(_zmul(self.coeffs, other.coeffs))
 
-    def shift_arg(self, c: int) -> "IntPoly":
-        """Return f(T + c)."""
-        out = IntPoly(())
-        for a in reversed(self.coeffs):
-            out = out * IntPoly.of([c, 1]) + IntPoly.of([a])
-        return out
-
     def derivative(self) -> "IntPoly":
         return IntPoly.of([i * a for i, a in enumerate(self.coeffs)][1:])
 

@@ -13,13 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import AlgebraError, CurveCover, IntPoly, critical_polynomial, discriminant_in_u, poly_discriminant
-from .factorization import (
-    factor_integer,
-    factor_over_Z,
-    has_root_mod_p,
-    is_irreducible_mod_p,
-    is_prime,
-)
+from .factorization import factor_integer, factor_over_Z, is_irreducible_mod_p
 from .sieve import build_PF, default_epsilon, prime_sieve
 
 
@@ -36,52 +30,28 @@ def fiber_poly(cover: CurveCover, n: int) -> IntPoly:
     return f.primitive_part()
 
 
-def is_fiber_irreducible(cover: CurveCover, n: int) -> Optional[bool]:
+def is_fiber_irreducible(cover: CurveCover, n: int) -> bool:
     """Is g(n, u) irreducible over Q?  Exact, by route on the degree:
-    degree <= 1 is irreducible; degree 2 is irreducible iff its
-    discriminant is not a perfect square; degree 3 is irreducible if it
-    has no root mod some good prime p (p prime, p not dividing lc * disc,
-    the first 10 such p tried); degree >= 4 is irreducible if it is
-    irreducible mod some good prime (Ben-Or's distinct-degree test, run
-    only at p = 2 and at odd p with (disc/p) = (-1)^(deg-1)); when no
-    good prime certifies a cubic or higher fiber, the full factorization
-    over Z decides.  None is reserved for budget-limited unknowns.  The
-    census takes these routes only as its fallback, for the fibers that
-    no residue table certifies (see _certified); the tests use this
-    function as the oracle for those tables."""
+    degree 2 is irreducible iff its discriminant is not a perfect square,
+    a zero discriminant means a repeated factor, and any other fiber is
+    factored over Z.  A degenerate fiber raises DegenerateFiberError.
+    The census takes these routes only for the fibers that no residue
+    table certifies (see _certified); the tests use this function as the
+    oracle for those tables."""
     f = fiber_poly(cover, n)
     return _irreducible(f.degree, poly_discriminant(f), lambda: f)
 
 
 def _irreducible(degree: int, disc: int, fiber: Callable[[], IntPoly]) -> bool:
-    """The routes of is_fiber_irreducible, given the degree and disc of
-    the primitive fiber f that fiber() builds; degree and disc decide
-    degree <= 2 and disc = 0 without it."""
-    if degree <= 1:
-        return True
+    """The routes of is_fiber_irreducible, given the degree (>= 2) and
+    disc of the primitive fiber f that fiber() builds: degree and disc
+    decide degree 2 and disc = 0 without it, and factor_over_Z(f) decides
+    the rest."""
     if degree == 2:
         return disc < 0 or math.isqrt(disc) ** 2 != disc
     if disc == 0:
         return False
-    f = fiber()
-    good = 0
-    p = 2
-    while good < 10:
-        if is_prime(p) and f.lc % p != 0 and disc % p != 0:
-            good += 1
-            if f.degree == 3:
-                # squarefree of full degree mod p: irreducible iff no root
-                certified = not has_root_mod_p(f, p)
-            else:
-                # Stickelberger: (disc/p) = (-1)^(n-r) at odd p, so p can
-                # certify (r = 1) only where (disc/p) = (-1)^(n-1)
-                symbol = 1 if f.degree % 2 else p - 1
-                can_certify = p == 2 or pow(disc, (p - 1) // 2, p) == symbol
-                certified = can_certify and is_irreducible_mod_p(f, p)
-            if certified:
-                return True
-        p += 1
-    _, factors = factor_over_Z(f)
+    _, factors = factor_over_Z(fiber())
     return len(factors) == 1 and factors[0][1] == 1
 
 

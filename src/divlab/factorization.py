@@ -139,9 +139,6 @@ class ModPolyFactorization:
     unit: int  # leading coefficient of the input mod p
     factors: tuple[tuple[tuple[int, ...], int], ...]  # (monic coeffs, multiplicity)
 
-    def product(self) -> list[int]:
-        return _pprod([[self.unit]] + [list(fac) for fac, mult in self.factors for _ in range(mult)], self.p)
-
 
 def roots_mod_p(f: IntPoly, p: int) -> list[int]:
     """All residues r in [0, p) with f(r) = 0 mod p, sorted, each listed
@@ -504,12 +501,6 @@ class IntFactorization:
         if not self.complete:
             raise AlgebraError("squarefree test on an incomplete factorization")
         return all(e == 1 for _, e in self.factors)
-
-    def reassemble(self) -> int:
-        v = self.sign * self.cofactor
-        for p, e in self.factors:
-            v *= p**e
-        return v
 
 
 def is_prime(n: int) -> bool:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import AlgebraError, IntPoly, poly_discriminant
-from .factorization import factor_integer, has_root_mod_p
+from .factorization import has_root_mod_p
 
 
 def prime_sieve(limit: int) -> list[int]:
@@ -265,21 +265,3 @@ def enumerate_MF(sieve: ChebotarevSieve, params: DiversityParams) -> list[MFElem
             stacklevel=2,
         )
     return out
-
-
-def check_MF_membership(m: int, sieve: ChebotarevSieve, params: DiversityParams) -> bool:
-    """Independent membership re-check: factorizes m from scratch and
-    verifies every defining constraint."""
-    fact = factor_integer(m)
-    if not fact.complete or not fact.is_squarefree():
-        return False
-    primes = fact.primes
-    if len(primes) != params.k + 1:
-        return False
-    if any(p not in sieve for p in primes):
-        return False
-    if primes[0] < params.y:
-        return False
-    if not params.tail_ok(primes[-1]):
-        return False
-    return params.lo_int <= m <= params.hi_int

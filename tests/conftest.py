@@ -36,6 +36,16 @@ def squarefree_kernel_table(N):
     return kernel
 
 
+def shift_arg(f, c):
+    """f(T + c) for the IntPoly f, by Horner's rule."""
+    from divlab.algebra import IntPoly
+
+    out = IntPoly(())
+    for a in reversed(f.coeffs):
+        out = out * IntPoly.of([c, 1]) + IntPoly.of([a])
+    return out
+
+
 def brute_force_MF(sieve, params):
     """Scan every integer in the window and test the defining conditions
     from scratch (sympy factorization)."""

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import divlab.algebra as algebra
 import divlab.diversity as diversity
 import divlab.factorization as factorization
-from conftest import squarefree_kernel_table
+from conftest import shift_arg, squarefree_kernel_table
 from divlab.algebra import (
     AlgebraError,
     CurveCover,
@@ -212,8 +212,8 @@ class TestFiberPipeline:
             assert calls == {"fiber_poly": 3, "poly_discriminant": 0}
             assert specialized == uncertified
 
-    # degree >= 4 fibers: the distinct-degree irreducibility test runs only
-    # at primes that can certify
+    # degree >= 4 fibers: at an odd prime with the wrong discriminant
+    # symbol, the distinct-degree irreducibility test never certifies
     HIGH_DEGREE = ("2*u^4 - t^2*u + 3", "u^5 - t*u - 1", "u^6 + t*u^2 - 3")
 
     @staticmethod
@@ -221,22 +221,6 @@ class TestFiberPipeline:
         """Stickelberger: irreducible mod an odd good p forces
         (disc/p) = (-1)^(deg - 1)."""
         return pow(disc % p, (p - 1) // 2, p) == (1 if f.degree % 2 else p - 1)
-
-    def test_rabin_skips_primes_with_the_wrong_discriminant_symbol(self, monkeypatch):
-        tried = []
-
-        def counted(f, p):
-            tried.append((f, p))
-            return is_irreducible_mod_p(f, p)
-
-        monkeypatch.setattr(diversity, "is_irreducible_mod_p", counted)
-        for text in self.HIGH_DEGREE:
-            cover = parse_cover(text)
-            for n in range(1, 101):
-                assert is_fiber_irreducible(cover, n) is sympy_irreducible(fiber_poly(cover, n))
-        assert tried
-        for f, p in tried:
-            assert p == 2 or self.can_certify(f, poly_discriminant(f), p)
 
     def test_skipped_primes_never_certify(self):
         skipped = 0
@@ -291,16 +275,46 @@ class TestResidueTables:
 
     def test_tables_are_built_once_per_run(self, monkeypatch):
         # one test per residue of each prime below 60, sum(p) = 440 on a
-        # monic cover, whatever N and the worker count; the cubic fibers
-        # no table certifies take the root route, not this kernel
-        calls = []
-        kernel = diversity.is_irreducible_mod_p
+        # monic cover, whatever N and the worker count; lc = 2 rules out
+        # both residues mod 2 (438).  The main process factors D over Z,
+        # and at workers 1 also each fiber no table certifies, which gets
+        # no test of this kernel: 8 and 770 of the cubic, 25, 80 and 90 of
+        # the quartic
+        calls, factors = [], []
+        kernel, factor = diversity.is_irreducible_mod_p, diversity.factor_over_Z
         monkeypatch.setattr(diversity, "is_irreducible_mod_p", lambda f, p: calls.append(p) or kernel(f, p))
-        cover = parse_cover("u^3 - t*u - t")
-        for N, workers in ((10, 1), (2000, 1), (130, 2), (2000, 3)):
+        monkeypatch.setattr(diversity, "factor_over_Z", lambda f: factors.append(f) or factor(f))
+        for text, N, workers, tests, factored in (("u^3 - t*u - t", 10, 1, 440, 2),
+                                                  ("u^3 - t*u - t", 2000, 1, 440, 3),
+                                                  ("u^3 - t*u - t", 130, 2, 440, 1),
+                                                  ("u^3 - t*u - t", 2000, 3, 440, 1),
+                                                  ("2*u^4 - t^2*u + 3", 130, 1, 438, 4)):
             calls.clear()
-            run_census(cover, N, CensusConfig(workers=workers, delta=1.0))
-            assert len(calls) == sum(sympy.primerange(60)) == 440
+            factors.clear()
+            run_census(parse_cover(text), N, CensusConfig(workers=workers, delta=1.0))
+            assert (len(calls), len(factors)) == (tests, factored)
+
+    def test_the_fibers_no_table_certifies_are_factored_over_Z(self, monkeypatch):
+        # on -t*u^3 + t^2*u + 2*t*u + t^2 + 2*t (c = n, lc < 0) at N = 2000,
+        # no table certifies the fibers 6 (reducible), 768 and 1804.  Fiber
+        # 1804 is irreducible mod 11, but 11 divides lc_u(1804) = -1804, so
+        # the table for 11 cannot hold it
+        cover = parse_cover("-t*u^3 + t^2*u + 2*t*u + t^2 + 2*t")
+        uncertified = [6, 768, 1804]
+        certified = diversity._certified(cover, range(1, 2001))
+        assert [n for n, cert in enumerate(certified, 1) if not cert] == uncertified
+        assert [sympy_irreducible(fiber_poly(cover, n)) for n in uncertified] == [False, True, True]
+        assert is_irreducible_mod_p(fiber_poly(cover, 1804), 11) and cover.lc_u(1804) == -1804
+        factors = []
+        factor = diversity.factor_over_Z
+        monkeypatch.setattr(diversity, "factor_over_Z", lambda f: factors.append(f) or factor(f))
+        for workers, fibers in ((1, uncertified), (2, [])):
+            factors.clear()
+            census = run_census(cover, 2000, CensusConfig(workers=workers, delta=1.0))
+            assert census.skipped == () and census.reducible_count == 1
+            assert [census.per_n[n - 1].irreducible for n in uncertified] == [False, True, True]
+            # worker processes keep their own calls
+            assert factors == [discriminant_in_u(cover)] + [fiber_poly(cover, n) for n in fibers]
 
 
 class TestFingerprint:
@@ -335,7 +349,7 @@ class TestFingerprint:
             f = fiber_poly(cover, n)
             base = fingerprint(f)
             for c in (1, 2, 3):
-                shifted = fingerprint(f.shift_arg(c))
+                shifted = fingerprint(shift_arg(f, c))
                 assert shifted.odd_valuation_primes == base.odd_valuation_primes
             done += 1
 

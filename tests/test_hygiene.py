@@ -1,6 +1,7 @@
 """Source hygiene: every name a divlab or test module imports is used
-in it, every module-private function or class is referenced somewhere in
-the package other than its own body, every name the package exports or
+in it, every top-level function or class is referenced somewhere in the
+package other than its own body (a public one may instead be exported or
+traced by the benchmark), every name the package exports or
 the benchmark's tracer rebinds exists, and the CLI's table of the keys
 each run reads covers every key and every run and matches README's.
 
@@ -52,9 +53,10 @@ def referenced_names(tree: ast.AST) -> Counter:
     return names
 
 
-def unreferenced_private(sources: dict[str, str]) -> list[str]:
-    """Top-level `_name` functions and classes that no code outside their
-    own definition refers to, across all the given modules."""
+def unreferenced(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, name) of the top-level functions and classes, dunders
+    aside, that no code outside their own definition refers to, across
+    all the given modules."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
     total = sum((referenced_names(tree) for tree in trees.values()), Counter())
     out = []
@@ -62,12 +64,28 @@ def unreferenced_private(sources: dict[str, str]) -> list[str]:
         for node in tree.body:
             if (
                 isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                and node.name.startswith("_")
                 and not node.name.startswith("__")
                 and total[node.name] == referenced_names(node)[node.name]
             ):
-                out.append(f"{module}: {node.name}")
+                out.append((module, node.name))
     return out
+
+
+def unreferenced_private(sources: dict[str, str]) -> list[str]:
+    """Top-level `_name` functions and classes that no code outside their
+    own definition refers to, across all the given modules."""
+    return [f"{module}: {name}" for module, name in unreferenced(sources) if name.startswith("_")]
+
+
+def unreferenced_public(sources: dict[str, str], exempt: set[str]) -> list[str]:
+    """Top-level public functions and classes that no code outside their
+    own definition refers to, across all the given modules, apart from
+    the `module: name` entries of exempt."""
+    return [
+        f"{module}: {name}"
+        for module, name in unreferenced(sources)
+        if not name.startswith("_") and f"{module}: {name}" not in exempt
+    ]
 
 
 def test_modules_found():
@@ -122,6 +140,28 @@ def test_traced_names_resolve():
         if not hasattr(importlib.import_module(f"divlab.{layer}"), fn):
             missing.append(name)
     assert missing == []
+
+
+def test_no_unreferenced_public_definitions():
+    # a public name is used in the package, exported, or traced by the
+    # benchmark; __init__.py's re-exports are not uses, __all__ lists them
+    exported = {f"{getattr(divlab, name).__module__.rsplit('.', 1)[1]}.py: {name}" for name in divlab.__all__}
+    traced = {"{}.py: {}".format(*name.split(".")) for name in traced_names()}
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert unreferenced_public(sources, exported | traced) == []
+
+
+def test_public_detector():
+    a = (
+        "def used(n):\n    return n\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else 0\n"
+        "class Orphan:\n    pass\n"
+        "def imported():\n    pass\n"
+        "def exempt():\n    pass\n"
+        "def _private():\n    return used(1)\n"
+    )
+    b = "from .a import imported\n"
+    assert unreferenced_public({"a.py": a, "b.py": b}, {"a.py: exempt"}) == ["a.py: recursive", "a.py: Orphan"]
 
 
 def test_exported_names_resolve():

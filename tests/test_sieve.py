@@ -13,11 +13,11 @@ from sympy.polys.galoistools import gf_from_int_poly, gf_gcd, gf_pow_mod, gf_sub
 
 from conftest import brute_force_MF
 from divlab.algebra import AlgebraError, IntPoly
+from divlab.factorization import factor_integer
 from divlab.sieve import (
     DiversityParams,
     build_PF,
     check_density_floor,
-    check_MF_membership,
     default_epsilon,
     enumerate_MF,
     prime_sieve,
@@ -30,6 +30,24 @@ T2P1 = IntPoly.of([1, 0, 1])
 @functools.lru_cache(maxsize=1)
 def sympy_primes_to_300k():
     return list(sympy.primerange(2, 3 * 10**5 + 1))
+
+
+def check_MF_membership(m, sieve, params):
+    """Independent membership re-check: factorizes m from scratch and
+    verifies every defining constraint."""
+    fact = factor_integer(m)
+    if not fact.complete or not fact.is_squarefree():
+        return False
+    primes = fact.primes
+    if len(primes) != params.k + 1:
+        return False
+    if any(p not in sieve for p in primes):
+        return False
+    if primes[0] < params.y:
+        return False
+    if not params.tail_ok(primes[-1]):
+        return False
+    return params.lo_int <= m <= params.hi_int
 
 
 class TestPrimeSieve:
