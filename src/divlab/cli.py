@@ -13,7 +13,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -59,7 +59,7 @@ def _parse_tail(text: str) -> Optional[Fraction]:
 
 
 # How to read each parameter that is not a string from its text, in a
-# config file, on the command line and in DIVLAB_WORKERS alike.
+# config file and on the command line alike.
 _PARSERS = {
     **dict.fromkeys(("N", "k", "d", "limit", "budget", "workers", "seed"), int),
     **dict.fromkeys(("x", "epsilon", "delta", "y", "window_lo", "window_hi"), float),
@@ -72,11 +72,6 @@ def _parse(key: str, text: str, where: str):
         return _PARSERS.get(key, str)(text)
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"{where}: bad value for {key}: {text!r}") from None
-
-
-def _env_workers() -> int:
-    """DIVLAB_WORKERS backs up the workers key and --workers."""
-    return _parse("workers", os.environ.get("DIVLAB_WORKERS") or "1", "DIVLAB_WORKERS")
 
 
 # The keys a run reads, by subcommand and, for sieve and witness, by mode.
@@ -111,7 +106,7 @@ class RunConfig:
     d: Optional[int] = None
     limit: Optional[int] = None
     budget: int = 1_000_000
-    workers: int = field(default_factory=_env_workers)
+    workers: int = 1
     seed: int = 0
     out: str = "."
 

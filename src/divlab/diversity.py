@@ -229,29 +229,23 @@ def _fiber_discriminant(coeffs: Sequence[int], Dn: int) -> int:
     return disc
 
 
-def _census_rows(cover: CurveCover, D: IntPoly, ns: range, primes: Sequence[Sequence[int]],
-                 certified: Sequence[bool], config: Optional[CensusConfig]) -> list[CensusRow]:
-    """Rows for the fibers n in ns, given D = discriminant_in_u(cover),
-    some primes of each fiber's discriminant (see _sieved_primes) and
-    each fiber's residue-table verdict (see _certified).  The
+def _census_row(cover: CurveCover, D: IntPoly, effort: Optional[int], n: int, known: Sequence[int],
+                certified: bool) -> tuple[int, Optional[bool], Optional[FieldFingerprint]]:
+    """(fiber_degree, irreducible, fingerprint) for fiber n, given
+    D = discriminant_in_u(cover), some primes of its discriminant (see
+    _sieved_primes) and its residue-table verdict (see _certified).  The
     u-coefficients of g(n, u) are evaluated once: a zero leading one is a
-    degenerate fiber, and D(n) gives the discriminant (see
-    _fiber_discriminant), so no fiber needs a resultant.  Only a fiber of
-    degree >= 3 that no table certifies builds fiber_poly, for the routes
-    of is_fiber_irreducible.  An irreducible fiber is fingerprinted when
-    a census config is given."""
-    rows: list[CensusRow] = []
-    nu = cover.nu
-    for n, known, cert in zip(ns, primes, certified):
-        coeffs = [h(n) for h in cover.coeffs_u]
-        if coeffs[-1] == 0:
-            rows.append(CensusRow(n=n, fiber_degree=-1, irreducible=None, fingerprint=None, new_field=False))
-            continue
-        disc = _fiber_discriminant(coeffs, D(n))
-        irr = cert or _irreducible(nu, disc, functools.partial(fiber_poly, cover, n))
-        fp = _fingerprint(disc, known, config.effort) if irr and config is not None else None
-        rows.append(CensusRow(n=n, fiber_degree=nu, irreducible=irr, fingerprint=fp, new_field=False))
-    return rows
+    degenerate fiber, (-1, None, None), and D(n) gives the discriminant
+    (see _fiber_discriminant), so no fiber needs a resultant.  Only a
+    fiber of degree >= 3 that no table certifies builds fiber_poly, for
+    the routes of is_fiber_irreducible.  An irreducible fiber is
+    fingerprinted unless effort is None."""
+    coeffs = [h(n) for h in cover.coeffs_u]
+    if coeffs[-1] == 0:
+        return -1, None, None
+    disc = _fiber_discriminant(coeffs, D(n))
+    irr = certified or _irreducible(cover.nu, disc, functools.partial(fiber_poly, cover, n))
+    return cover.nu, irr, _fingerprint(disc, known, effort) if irr and effort is not None else None
 
 
 def run_census(cover: CurveCover, N: int, config: CensusConfig = CensusConfig()) -> DiversityCensus:
@@ -261,7 +255,7 @@ def run_census(cover: CurveCover, N: int, config: CensusConfig = CensusConfig())
     partial one only when no fingerprint before it, complete or partial,
     has its known primes.  Each fact is computed once per run, before the
     walk, in this process at any worker count: D = disc_u(g), whose value
-    at n gives fiber n's discriminant (see _census_rows); D's factors
+    at n gives fiber n's discriminant (see _census_row); D's factors
     over Z, so factor_integer sees only what the primes of its content
     and linear factors leave (see _sieved_primes); and one residue table
     per prime below 60, which certifies most fibers of degree >= 3
@@ -282,9 +276,9 @@ def run_census(cover: CurveCover, N: int, config: CensusConfig = CensusConfig())
     known = factor_integer(content, effort=config.effort).primes
     primes = _sieved_primes(known, tuple(h for h, _ in factors if h.degree == 1), ns)
     certified = _certified(cover, ns)
-    workers = max(1, config.workers)
-    if workers == 1:
-        rows = _census_rows(cover, D, ns, primes, certified, config)
+    row = functools.partial(_census_row, cover, D, config.effort)
+    if config.workers <= 1:
+        verdicts = map(row, ns, primes, certified)
     else:
         # imported here: the process pool's modules would add ~25 ms to
         # every single-worker run's start-up
@@ -292,44 +286,30 @@ def run_census(cover: CurveCover, N: int, config: CensusConfig = CensusConfig())
 
         # per-fiber cost grows with n: small chunks pulled by whichever
         # worker is free keep the workers evenly loaded
-        starts = range(0, N, _CENSUS_CHUNK)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            shards = pool.map(functools.partial(_census_rows, cover, D, config=config),
-                              [ns[i:i + _CENSUS_CHUNK] for i in starts],
-                              [primes[i:i + _CENSUS_CHUNK] for i in starts],
-                              [certified[i:i + _CENSUS_CHUNK] for i in starts])
-            rows = [r for shard in shards for r in shard]
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+            verdicts = list(pool.map(row, ns, primes, certified, chunksize=_CENSUS_CHUNK))
 
     complete_seen: set[tuple[int, ...]] = set()
     partial_seen: set[tuple[int, ...]] = set()
-    final: list[CensusRow] = []
+    per_n: list[CensusRow] = []
     distinct = 0
     reducible = 0
     skipped = []
-    for row in rows:
-        if row.irreducible is None:
-            skipped.append(row.n)
-            final.append(row)
-            continue
-        if row.irreducible is False:
+    for n, (degree, irr, fp) in zip(ns, verdicts):
+        new = False
+        if irr is None:
+            skipped.append(n)
+        elif not irr:
             reducible += 1
-            final.append(row)
-            continue
-        fp = row.fingerprint
-        assert fp is not None
-        primes = fp.odd_valuation_primes
-        if fp.complete:
-            new = primes not in complete_seen
-            complete_seen.add(primes)
         else:
-            new = primes not in complete_seen and primes not in partial_seen
-            partial_seen.add(primes)
-        if new:
-            distinct += 1
-        final.append(CensusRow(row.n, row.fiber_degree, True, fp, new))
+            key = fp.odd_valuation_primes
+            new = key not in complete_seen and (fp.complete or key not in partial_seen)
+            (complete_seen if fp.complete else partial_seen).add(key)
+            distinct += new
+        per_n.append(CensusRow(n, degree, irr, fp, new))
     return DiversityCensus(
         N=N,
-        per_n=tuple(final),
+        per_n=tuple(per_n),
         distinct_lower_bound=distinct,
         reducible_count=reducible,
         skipped=tuple(skipped),

@@ -228,9 +228,7 @@ def enumerate_MF(sieve: ChebotarevSieve, params: DiversityParams) -> list[MFElem
     primes = sieve.primes_in_PF
     lo, hi = params.lo_int, params.hi_int
     k = params.k
-    y_idx = bisect.bisect_left(primes, math.floor(params.y))
-    while y_idx < len(primes) and primes[y_idx] < params.y:
-        y_idx += 1
+    y_idx = bisect.bisect_left(primes, math.ceil(params.y))
     out: list[MFElement] = []
 
     def attach_large(m1: int, chosen: tuple[int, ...], min_idx: int) -> None:
@@ -239,7 +237,8 @@ def enumerate_MF(sieve: ChebotarevSieve, params: DiversityParams) -> list[MFElem
         i = bisect.bisect_left(primes, lo_p, lo=min_idx)
         while i < len(primes) and primes[i] <= hi_p:
             P = primes[i]
-            if P >= params.y and params.tail_ok(P) and lo <= m1 * P <= hi:
+            # P >= y since min_idx >= y_idx, and lo <= m1*P <= hi by lo_p, hi_p
+            if params.tail_ok(P):
                 out.append(MFElement(m=m1 * P, primes=chosen + (P,)))
             i += 1
 

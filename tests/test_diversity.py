@@ -37,16 +37,18 @@ u = sympy.Symbol("u")
 
 
 def census_rows(cover, N):
-    """The census's rows for n = 1..N without fingerprints: residue tables,
-    then the degree routes.  Needs no critical value, so any cover runs."""
+    """The census's (fiber_degree, irreducible, None) for n = 1..N, without
+    fingerprints: residue tables, then the degree routes.  Needs no
+    critical value, so any cover runs."""
     ns = range(1, N + 1)
-    return diversity._census_rows(cover, discriminant_in_u(cover), ns, [()] * N,
-                                  diversity._certified(cover, ns), None)
+    D = discriminant_in_u(cover)
+    return [diversity._census_row(cover, D, None, n, (), cert)
+            for n, cert in zip(ns, diversity._certified(cover, ns))]
 
 
 def count_reducible_fibers(cover, N):
     """Reducible-fiber count over n = 1..N (degenerate fibers excluded)."""
-    return sum(row.irreducible is False for row in census_rows(cover, N))
+    return sum(irr is False for _, irr, _ in census_rows(cover, N))
 
 
 def sympy_irreducible(f):
@@ -167,7 +169,7 @@ class TestFiberPipeline:
         certified = diversity._certified(cover, range(1, 61))
         assert discs == [poly_discriminant(fiber_poly(cover, n)) for n in live]
         assert reached == [fiber_poly(cover, n) for n in live if not certified[n - 1]]
-        assert [row.fiber_degree for row in rows] == [cover.nu if n in live else -1 for n in range(1, 61)]
+        assert [degree for degree, _, _ in rows] == [cover.nu if n in live else -1 for n in range(1, 61)]
 
     @pytest.mark.parametrize("certified", [False, True])
     def test_a_wrong_discriminant_raises(self, certified):
@@ -178,7 +180,8 @@ class TestFiberPipeline:
         D = discriminant_in_u(cover)
         assert D == IntPoly.of([0, 0, 8])
         with pytest.raises(AlgebraError, match="not divisible"):
-            diversity._census_rows(cover, D + IntPoly.of([1]), range(1, 11), [()] * 10, [certified] * 10, None)
+            for n in range(1, 11):
+                diversity._census_row(cover, D + IntPoly.of([1]), None, n, (), certified)
 
     def test_fiber_poly_only_for_the_fibers_no_table_certifies(self, monkeypatch):
         # on u^3 - t*u - t at N = 2200, exactly 3 fibers are irreducible
@@ -246,11 +249,11 @@ class TestResidueTables:
     @example(parse_cover("-t*u^3 + t^2*u + 2*t*u + t^2 + 2*t"))  # c = n, lc < 0
     @example(parse_cover("t*u^2 - 5*u^2 + t"))  # degenerate at n = 5
     def test_census_verdicts_match_the_per_fiber_oracle(self, cover):
-        for row in census_rows(cover, 60):
-            if cover.lc_u(row.n) == 0:
-                assert row.irreducible is None
+        for n, (_, irr, _) in enumerate(census_rows(cover, 60), 1):
+            if cover.lc_u(n) == 0:
+                assert irr is None
             else:
-                assert row.irreducible is is_fiber_irreducible(cover, row.n)
+                assert irr is is_fiber_irreducible(cover, n)
 
     @pytest.mark.parametrize("text", ["u^3 - t*u - t", "u^3 - t", "t*u^3 - u - 1", "t*u^3 + u^2 - 2",
                                       "2*u^4 - t^2*u + 3", "-t*u^3 + t^2*u + 2*t*u + t^2 + 2*t"])
@@ -421,10 +424,10 @@ class TestCensus:
         assert lone.per_n == quad.per_n
         assert lone.distinct_lower_bound == quad.distinct_lower_bound
         # workers pull 25-fiber chunks in whatever order they finish, each
-        # with its slice of the residue-table verdicts; 25 lines up with no
+        # fiber with its own residue-table verdict; 25 lines up with no
         # table prime, at N = 130 the quartic leaves three fibers to the
         # per-fiber routes, and the reducible cubes 27, 64 and 125 of
-        # u^3 - t lie in chunks a misplaced slice would certify
+        # u^3 - t lie in chunks a misplaced verdict would certify
         certified = diversity._certified(parse_cover("2*u^4 - t^2*u + 3"), range(1, 131))
         assert [n for n, cert in zip(range(1, 131), certified) if not cert] == [25, 80, 90]
         for text, N in (("u^3 - t*u - t", 300), ("2*u^4 - t^2*u + 3", 130), ("u^3 - t", 130)):

@@ -2,8 +2,9 @@
 in it, every top-level function or class is referenced somewhere in the
 package other than its own body (a public one may instead be exported or
 traced by the benchmark), every name the package exports or
-the benchmark's tracer rebinds exists, and the CLI's table of the keys
-each run reads covers every key and every run and matches README's.
+the benchmark's tracer rebinds exists, no package module reads the
+process environment, and the CLI's table of the keys each run reads
+covers every key and every run and matches README's.
 
 Stdlib only.  The package's __init__.py is exempt from the import check,
 since its imports are re-exports.
@@ -117,6 +118,38 @@ def test_private_detector():
     )
     b = "from .a import _imported\n"
     assert unreferenced_private({"a.py": a, "b.py": b}) == ["a.py: _recursive", "a.py: _Orphan"]
+
+
+ENVIRONMENT = ("environ", "getenv")
+
+
+def environment_reads(source: str) -> list[str]:
+    """Where the source reads the process environment: an `.environ` or
+    `.getenv` attribute, or either name imported from os."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT:
+            out.append((node.lineno, f"{ast.unparse(node.value)}.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            out += [(node.lineno, f"from os import {a.name}") for a in node.names if a.name in ENVIRONMENT]
+    return [f"line {line}: {what}" for line, what in sorted(out)]
+
+
+@pytest.mark.parametrize("path", MODULES + [SRC / "__init__.py"], ids=lambda p: p.name)
+def test_no_module_reads_the_environment(path):
+    # a run's parameters come from its flags and config file alone
+    assert environment_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_environment_detector():
+    source = (
+        "import os\n"
+        "a = os.environ.get('A')\n"
+        "b = os.getenv('B')\n"
+        "from os import environ, sep\n"
+        "c = os.path.join(os.sep, 'environ')\n"
+    )
+    assert environment_reads(source) == ["line 2: os.environ", "line 3: os.getenv", "line 4: from os import environ"]
 
 
 def traced_names() -> list[str]:

@@ -284,18 +284,27 @@ class TestEnumerateMF:
             short = enumerate_MF(build_PF(F, max(2, min(x, params.prime_bound))), params)
         assert short == full
 
-    @pytest.mark.parametrize("F,k,y,tail", [
-        (T2P1, 1, 5, None),
-        (T, 1, 3, Fraction(1, 2)),
-        (IntPoly.of([0, 2, -3, 1]), 2, 2, None),
-    ])
-    def test_agrees_with_window_scan(self, F, k, y, tail):
-        x = 10**4
-        sieve = build_PF(F, x)
+    @settings(max_examples=150, deadline=None)
+    @given(
+        F=st.sampled_from([T, T2P1, IntPoly.of([0, 2, -3, 1]), IntPoly.of([-2, 0, 0, 1])]),
+        k=st.integers(0, 3),
+        y=st.floats(1, 30),
+        window_lo=st.floats(-50, 3000),
+        span=st.floats(0, 3000),
+        tail=st.sampled_from([None, Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)]),
+        x=st.just(4000),
+    )
+    # the earlier fixed cases: window [x/8, x/4] at x = 10^4
+    @example(F=T2P1, k=1, y=5, window_lo=1250, span=1250, tail=None, x=10**4)
+    @example(F=T, k=1, y=3, window_lo=1250, span=1250, tail=Fraction(1, 2), x=10**4)
+    @example(F=IntPoly.of([0, 2, -3, 1]), k=2, y=2, window_lo=1250, span=1250, tail=None, x=10**4)
+    def test_agrees_with_window_scan(self, F, k, y, window_lo, span, tail, x):
+        # fractional y and window ends, windows reaching below 2, and k = 0;
+        # the scan tests every defining condition of each m from scratch
         params = DiversityParams.override(
-            x=x, k=k, y=y,
-            window_lo=x / 8, window_hi=x / 4, tail_exponent=tail,
+            x=x, k=k, y=y, window_lo=window_lo, window_hi=min(window_lo + span, x), tail_exponent=tail,
         )
+        sieve = build_PF(F, x)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             mf = enumerate_MF(sieve, params)
