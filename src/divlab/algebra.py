@@ -248,7 +248,8 @@ def poly_discriminant(f: IntPoly) -> int:
     r = resultant(f, f.derivative())
     s = -1 if (d * (d - 1) // 2) % 2 else 1
     q, m = divmod(s * r, f.lc)
-    assert m == 0
+    if m != 0:
+        raise AlgebraError("lc(f) does not divide Res(f, f')")
     return q
 
 

@@ -1,5 +1,7 @@
 """Command-line front end: plain-text config, five subcommands, CSV
-emission and the verification suites.
+emission, and `verify`'s checks of the supporting properties on the
+cover it is given.  Library warnings reach stderr as one
+`warning: <message>` line each.
 
 Exit codes: 0 success, 1 config error, 2 mathematical degeneracy,
 3 invariant violation.
@@ -39,9 +41,7 @@ from .witnesses import (
     LemmaViolation,
     classify_greedy,
     find_cliques,
-    lemma_shift_suite,
     recheck_witness,
-    rho_brute_force_suite,
     verify_property_C,
     verify_property_D,
     verify_property_E,
@@ -61,7 +61,7 @@ def _parse_tail(text: str) -> Optional[Fraction]:
 # How to read each parameter that is not a string from its text, in a
 # config file and on the command line alike.
 _PARSERS = {
-    **dict.fromkeys(("N", "k", "d", "limit", "budget", "workers", "seed"), int),
+    **dict.fromkeys(("N", "k", "d", "limit", "budget", "workers"), int),
     **dict.fromkeys(("x", "epsilon", "delta", "y", "window_lo", "window_hi"), float),
     "tail": _parse_tail,
 }
@@ -86,7 +86,7 @@ _READS = {
     ("witness", "paper"): {*_M_F, "epsilon", "delta", "d", "limit"},
     ("witness", "override"): {*_M_F, "k", "y", "window_lo", "window_hi", "d"},
     ("diversity", None): {"cover", "N", "mode", "delta", "budget", "workers", "out"},
-    ("verify", None): {"cover", "limit", "budget", "seed"},
+    ("verify", None): {"cover", "limit", "budget"},
 }
 
 
@@ -107,7 +107,6 @@ class RunConfig:
     limit: Optional[int] = None
     budget: int = 1_000_000
     workers: int = 1
-    seed: int = 0
     out: str = "."
 
     def validate(self, command: str) -> None:
@@ -365,24 +364,6 @@ def cmd_verify(cfg: RunConfig) -> int:
     cover = _load_cover(cfg)
     F = critical_polynomial(cover)
     hard_failures = 0
-
-    shift = lemma_shift_suite(seed=cfg.seed)
-    ok = shift.lemma_violations == 0
-    hard_failures += not ok
-    print(
-        f"exact-divisor shift suite: {shift.instances} instances, "
-        f"{shift.skipped} skipped, {shift.lemma_violations} violations, "
-        f"max shift {shift.max_shift}: {'pass' if ok else 'FAIL'}"
-    )
-
-    rho = rho_brute_force_suite(seed=cfg.seed)
-    ok = not rho.mismatches
-    hard_failures += not ok
-    print(
-        f"root-count cross-check: {rho.instances} instances, "
-        f"{len(rho.mismatches)} mismatches: {'pass' if ok else 'FAIL'}"
-    )
-
     limit = cfg.limit if cfg.limit is not None else 10_000
     sieve = build_PF(F, limit)
     c_viol = 0
@@ -463,13 +444,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, *_) -> None:
+    """warnings.showwarning without the source location, so stderr is the
+    same wherever divlab is installed."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg = load_config(args.config) if args.config else RunConfig()
         cfg = merge_flags(cfg, args)
         cfg.validate(args.command)
-        return args.func(cfg)
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            return args.func(cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1

@@ -447,7 +447,8 @@ def _bezout_mod_p(g: list[int], h: list[int], p: int) -> tuple[list[int], list[i
         r0, r1 = r1, r
         s0, s1 = s1, _psub(s0, _pmul(qt, s1, p), p)
         t0, t1 = t1, _psub(t0, _pmul(qt, t1, p), p)
-    assert len(r0) == 1
+    if len(r0) != 1:
+        raise AlgebraError(f"factors are not coprime mod {p}")
     inv = pow(r0[0], -1, p)
     return [(c * inv) % p for c in s0], [(c * inv) % p for c in t0]
 

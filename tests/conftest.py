@@ -1,12 +1,14 @@
-"""Shared test-side oracles.
+"""Shared test-side oracles and randomized suites.
 
 These deliberately take different routes than the library: the kernel
 sieve uses smallest-prime-factor tables, the window scan uses sympy's
-factorint.  Keeping them here (and not in src/) preserves the
-independence of the cross-checks.
+factorint, the root-count suite counts roots mod m one residue at a
+time.  Keeping them here (and not in src/) preserves the independence
+of the cross-checks.
 """
 
 import math
+import random
 
 import pytest
 import sympy
@@ -67,6 +69,77 @@ def brute_force_MF(sieve, params):
             continue
         out.append(m)
     return out
+
+
+def random_poly(rng):
+    """A random F of degree <= 4 with coefficients in [-30, 30] and a
+    leading coefficient in [1, 9]; its degree may come out 0."""
+    from divlab.algebra import IntPoly
+
+    deg = rng.randint(1, 4)
+    return IntPoly.of([rng.randint(-30, 30) for _ in range(deg)] + [rng.randint(1, 9)])
+
+
+def shift_lemma_suite(seed):
+    """1000 random separable F, each with a random squarefree m built
+    from 2-3 primes in [5, 43] that are coprime to disc(F) and to the
+    content of F and have a root of F; every instance must admit an
+    exact-divisor shift l <= omega(m) from the least CRT root.  Returns
+    (instances, skipped draws, lemma violations, largest shift)."""
+    from divlab.algebra import poly_discriminant
+    from divlab.witnesses import LemmaViolation, crt_root, exact_divisor_shift, rho_F
+
+    rng = random.Random(seed)
+    done = skipped = violations = max_shift = 0
+    while done < 1000:
+        F = random_poly(rng)
+        if F.degree < 1:
+            continue
+        disc = poly_discriminant(F)
+        if disc == 0:
+            continue
+        omega = rng.randint(2, 3)
+        primes = [
+            p for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+            if disc % p and F.content() % p and rho_F(F, p)
+        ]
+        if len(primes) < omega:
+            skipped += 1
+            continue
+        m = math.prod(rng.sample(primes, omega))
+        n = crt_root(F, m).n or m
+        try:
+            max_shift = max(max_shift, exact_divisor_shift(F, m, n))
+        except LemmaViolation:
+            violations += 1
+        done += 1
+    return done, skipped, violations, max_shift
+
+
+def root_count_suite(seed):
+    """rho_F against counting the roots of F mod m directly, on 200
+    random F, each with a random squarefree m <= 10^4 coprime to the
+    content of F.  Returns (instances, [(F coefficients, m) of each
+    mismatch])."""
+    from divlab.witnesses import rho_F
+
+    rng = random.Random(seed)
+    done = 0
+    mismatches = []
+    while done < 200:
+        F = random_poly(rng)
+        if F.degree < 1:
+            continue
+        m = 1
+        for p in rng.sample([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47], rng.randint(1, 3)):
+            if m * p <= 10_000 and math.gcd(F.content(), p) == 1:
+                m *= p
+        if m == 1:
+            continue
+        if rho_F(F, m) != sum(1 for n in range(m) if F(n) % m == 0):
+            mismatches.append((F.coeffs, m))
+        done += 1
+    return done, mismatches
 
 
 @pytest.fixture(scope="session")

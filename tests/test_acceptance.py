@@ -8,7 +8,13 @@ import time
 import warnings
 from fractions import Fraction
 
-from conftest import brute_force_MF, shift_arg, squarefree_kernel_table
+from conftest import (
+    brute_force_MF,
+    root_count_suite,
+    shift_arg,
+    shift_lemma_suite,
+    squarefree_kernel_table,
+)
 from divlab.algebra import IntPoly, parse_cover
 from divlab.diversity import (
     eta_exponent,
@@ -19,10 +25,8 @@ from divlab.diversity import (
 )
 from divlab.sieve import DiversityParams, build_PF, check_density_floor, enumerate_MF
 from divlab.witnesses import (
-    lemma_shift_suite,
     primitive_witness,
     recheck_witness,
-    rho_brute_force_suite,
     verify_property_C,
     verify_property_D,
     verify_property_E,
@@ -77,22 +81,22 @@ def test_criterion_03_shift_lemma_suite():
     """10^3 randomized precondition-satisfying instances all yield a
     shift l <= omega(m), no LemmaViolation, under 30 s."""
     start = time.monotonic()
-    rep = lemma_shift_suite(seed=0)
+    instances, _, violations, max_shift = shift_lemma_suite(0)
     elapsed = time.monotonic() - start
-    ok = rep.instances == 1000 and rep.lemma_violations == 0 and elapsed < 30
+    ok = instances == 1000 and violations == 0 and elapsed < 30
     report(
         3, ok,
-        f"{rep.instances} instances, {rep.lemma_violations} violations, "
-        f"max shift {rep.max_shift}, {elapsed:.1f}s",
+        f"{instances} instances, {violations} violations, "
+        f"max shift {max_shift}, {elapsed:.1f}s",
     )
 
 
 def test_criterion_04_rho_correctness():
     """200 random (F, m), m <= 10^4: multiplicative count equals
     brute-force root counting mod m."""
-    rep = rho_brute_force_suite(seed=0)
-    ok = rep.instances == 200 and not rep.mismatches
-    report(4, ok, f"{rep.instances} instances, {len(rep.mismatches)} mismatches")
+    instances, mismatches = root_count_suite(0)
+    ok = instances == 200 and not mismatches
+    report(4, ok, f"{instances} instances, {len(mismatches)} mismatches")
 
 
 def test_criterion_05_witness_bound():

@@ -64,8 +64,7 @@ class TestConfig:
         "cover": "u^2 - t", "N": "100", "x": "1e4", "mode": "override",
         "epsilon": "0.25", "delta": "0.5", "k": "2", "y": "5.5",
         "window_lo": "50", "window_hi": "100", "tail": "3/4", "d": "3",
-        "limit": "20000", "budget": "500", "workers": "2", "seed": "7",
-        "out": "run/",
+        "limit": "20000", "budget": "500", "workers": "2", "out": "run/",
     }
 
     def test_every_field_is_a_config_key_and_a_flag(self, tmp_path):
@@ -88,7 +87,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("config, flag, expected", [
         ("workers = 2", None, 2),
-        ("seed = 1", None, 1),
+        ("budget = 500", None, 1),
         ("workers = 2", "4", 4),
         (None, "4", 4),
         (None, None, 1),
@@ -176,6 +175,7 @@ class TestConfigErrors:
         (),
         ("analyze", "--cover", "u^2 - t", "--work", "3"),  # flags are never abbreviated
         ("analyze", "--cov", "u^2 - t"),
+        ("verify", "--cover", "u^2 - t", "--seed", "0"),  # verify draws no random polynomials
     ])
     def test_usage_errors(self, capsys, argv):
         code, _, err = run(capsys, *argv)
@@ -228,8 +228,8 @@ class TestReadKeys:
         )
         assert list(tmp_path.iterdir()) == []
         # d sets the default epsilon, and witness reads it for its ratio line
-        with pytest.warns(UserWarning, match="empty"):
-            assert run(capsys, "sieve", *paper, "--d", "2")[0] == 0
+        code, _, err = run(capsys, "sieve", *paper, "--d", "2")
+        assert code == 0 and err.startswith("warning: special squarefree set is empty ")
         assert run(capsys, "witness", *paper, "--epsilon", "0.5", "--d", "2")[0] == 0
 
     def test_override_witness_reads_d(self, tmp_path, capsys):
@@ -384,23 +384,22 @@ class TestWitnessCommand:
         assert not (tmp_path / "witnesses.csv").exists()
 
     def test_empty_paper_mode_warns_but_succeeds(self, tmp_path, capsys):
-        with pytest.warns(UserWarning):
-            code = main([
-                "witness", "--cover", "u^2 + t^2 + 1", "--x", "1000000",
-                "--mode", "paper", "--out", str(tmp_path),
-            ])
+        code, _, err = run(
+            capsys, "witness", "--cover", "u^2 + t^2 + 1", "--x", "1000000",
+            "--mode", "paper", "--out", str(tmp_path),
+        )
         assert code == 0
+        assert err.startswith("warning: special squarefree set is empty ") and err.count("\n") == 1
         assert read_csv(tmp_path / "witnesses.csv") == [
             ["m", "factorization", "n_m", "shift_l", "greedy"]
         ]
 
     def test_empty_set_writes_only_the_cliques_header(self, tmp_path, capsys):
-        with pytest.warns(UserWarning, match="empty"):
-            code, out, _ = run(
-                capsys, "witness", "--cover", "u^2 + t^2 + 1", "--x", "10000",
-                "--tail", "off", "--out", str(tmp_path),
-            )
-        assert code == 0
+        code, out, err = run(
+            capsys, "witness", "--cover", "u^2 + t^2 + 1", "--x", "10000",
+            "--tail", "off", "--out", str(tmp_path),
+        )
+        assert code == 0 and err.startswith("warning: special squarefree set is empty ")
         assert (tmp_path / "cliques.csv").read_bytes() == b"P,m1,m2,m3,type\n"
         assert out.endswith(f"cliques = 0 -> {tmp_path / 'cliques.csv'}\n")
 
@@ -431,6 +430,18 @@ class TestSieveCommand:
         )
         assert hashlib.sha256((tmp_path / "mf.csv").read_bytes()).hexdigest() == (
             "22e63978920488068fbafe850e9b6d64688a15f0486af5b5bbb9c86315fa723c"
+        )
+
+    def test_library_warning_is_one_stderr_line(self, tmp_path, capsys):
+        # no source path or line: stderr is the same wherever divlab is installed
+        code, out, err = run(
+            capsys, "sieve", "--cover", "u^2 + t^2 + 1", "--x", "10000", "--tail", "off",
+            "--out", str(tmp_path),
+        )
+        assert code == 0 and "|M_F(x)| = 0 " in out
+        assert err == (
+            "warning: special squarefree set is empty for these parameters "
+            "(mode=paper, k=1, y=9854, window=[2252, 4504], tail=None)\n"
         )
 
     def test_window_past_x_over_k_plus_two_is_accepted(self, tmp_path, capsys):
@@ -554,7 +565,14 @@ class TestVerifyCommand:
         monkeypatch.setattr(divlab.cli, "build_PF", counting_build_PF)
         code, out, _ = run(capsys, "verify", "--cover", "u^2 - t")
         assert code == 0
-        assert "all suites passed" in out
+        # every line checks the cover it names
+        assert out == (
+            "exact-division after shift by p (first 50 primes): 0 violations: pass\n"
+            "small witness per prime: 1229 primes, 0 failures: pass\n"
+            "large-prime-divisor count (n in [100, 2000]): 0 above-threshold, 0 indeterminate: pass\n"
+            "witness re-check: 200 witnesses, 0 failures: pass\n"
+            "all suites passed\n"
+        )
         assert limits == [10_000]  # one P_F serves every suite at the default limit
 
     def test_property_E_violation_is_a_hard_failure(self, capsys, monkeypatch):

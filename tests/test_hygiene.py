@@ -3,8 +3,9 @@ in it, every top-level function or class is referenced somewhere in the
 package other than its own body (a public one may instead be exported or
 traced by the benchmark), every name the package exports or
 the benchmark's tracer rebinds exists, no package module reads the
-process environment, and the CLI's table of the keys each run reads
-covers every key and every run and matches README's.
+process environment or holds an `assert` statement, and the CLI's table
+of the keys each run reads covers every key and every run and matches
+README's.
 
 Stdlib only.  The package's __init__.py is exempt from the import check,
 since its imports are re-exports.
@@ -150,6 +151,28 @@ def test_environment_detector():
         "c = os.path.join(os.sep, 'environ')\n"
     )
     assert environment_reads(source) == ["line 2: os.environ", "line 3: os.getenv", "line 4: from os import environ"]
+
+
+def assert_statements(source: str) -> list[str]:
+    """Where the source has an `assert` statement."""
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", MODULES + [SRC / "__init__.py"], ids=lambda p: p.name)
+def test_no_module_asserts(path):
+    # python -O strips assert statements, so every check must raise
+    assert assert_statements(path.read_text(encoding="utf-8")) == []
+
+
+def test_assert_detector():
+    source = (
+        "assert x, 'x'\n"
+        "if not y:\n"
+        "    raise AssertionError('assert y')\n"
+        "def f(asserted):\n"
+        "    assert (asserted, 'always true')\n"
+    )
+    assert assert_statements(source) == ["line 1", "line 5"]
 
 
 def traced_names() -> list[str]:

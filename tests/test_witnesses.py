@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import root_count_suite, shift_lemma_suite
 from divlab.algebra import IntPoly
 from divlab.sieve import DiversityParams, MFElement, build_PF, enumerate_MF
 from divlab.witnesses import (
@@ -16,10 +17,8 @@ from divlab.witnesses import (
     exact_divides,
     exact_divisor_shift,
     find_cliques,
-    lemma_shift_suite,
     primitive_witness,
     recheck_witness,
-    rho_brute_force_suite,
     rho_F,
     verify_property_C,
     verify_property_D,
@@ -110,9 +109,9 @@ class TestExactDivisorShift:
             exact_divisor_shift(T2P1, 2, 1)
 
     def test_shift_bounded_by_omega(self):
-        rep = lemma_shift_suite(seed=99)
-        assert rep.lemma_violations == 0
-        assert rep.max_shift <= 3
+        _, _, violations, max_shift = shift_lemma_suite(99)
+        assert violations == 0
+        assert max_shift <= 3
 
 
 class TestPrimitiveWitness:
@@ -345,11 +344,9 @@ class TestCliques:
 
 class TestSuites:
     def test_lemma_suite_clean(self):
-        rep = lemma_shift_suite(seed=0)
-        assert rep.instances == 1000
-        assert rep.lemma_violations == 0
+        instances, _, violations, _ = shift_lemma_suite(0)
+        assert instances == 1000
+        assert violations == 0
 
     def test_rho_suite_clean(self):
-        rep = rho_brute_force_suite(seed=0)
-        assert rep.instances == 200
-        assert rep.mismatches == ()
+        assert root_count_suite(0) == (200, [])
