@@ -27,6 +27,11 @@ class DegenerateCoverError(AlgebraError):
     or not squarefree in u)."""
 
 
+class LemmaViolation(RuntimeError):
+    """No valid shift exists although the hypotheses hold; indicates an
+    implementation bug, not bad input."""
+
+
 # ---------------------------------------------------------------------------
 # dense little-endian coefficient lists over Z: the loops every ring shares
 

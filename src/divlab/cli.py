@@ -17,36 +17,24 @@ import sys
 import warnings
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .algebra import (
     AlgebraError,
     CurveCover,
     DegenerateCoverError,
     IntPoly,
+    LemmaViolation,
     PolyParseError,
     critical_polynomial,
     format_poly,
     parse_cover,
 )
-from .diversity import CensusConfig, run_census
-from .sieve import (
-    ChebotarevSieve,
-    DiversityParams,
-    build_PF,
-    check_density_floor,
-    enumerate_MF,
-)
-from .witnesses import (
-    LemmaViolation,
-    classify_greedy,
-    find_cliques,
-    recheck_witness,
-    verify_property_C,
-    verify_property_D,
-    verify_property_E,
-    witnesses_for_MF,
-)
+
+# Every other layer is imported by the function that runs it, so a run
+# compiles and loads only the layers its subcommand uses.
+if TYPE_CHECKING:
+    from .sieve import ChebotarevSieve, DiversityParams
 
 
 class ConfigError(ValueError):
@@ -227,6 +215,8 @@ def _sieve_and_params(cfg: RunConfig, F: IntPoly) -> tuple[ChebotarevSieve, Dive
     where its density delta_hat is read, as delta in paper mode; otherwise
     only to params.prime_bound, since no element of M_F(x) contains a
     prime above it."""
+    from .sieve import DiversityParams, build_PF
+
     _require(cfg, "x")
     limit = _limit(cfg)
     full = None
@@ -264,6 +254,8 @@ def _fact_str(primes) -> str:
 # subcommands
 
 def cmd_analyze(cfg: RunConfig) -> int:
+    from .sieve import build_PF, check_density_floor
+
     cover = _load_cover(cfg)
     F = critical_polynomial(cover)
     sieve = build_PF(F, _limit(cfg))
@@ -282,6 +274,8 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
 
 def cmd_sieve(cfg: RunConfig) -> int:
+    from .sieve import enumerate_MF
+
     cover = _load_cover(cfg)
     F = critical_polynomial(cover)
     sieve, params = _sieve_and_params(cfg, F)
@@ -298,6 +292,9 @@ def cmd_sieve(cfg: RunConfig) -> int:
 
 
 def cmd_witness(cfg: RunConfig) -> int:
+    from .sieve import enumerate_MF
+    from .witnesses import classify_greedy, find_cliques, witnesses_for_MF
+
     cover = _load_cover(cfg)
     F = critical_polynomial(cover)
     sieve, params = _sieve_and_params(cfg, F)
@@ -330,6 +327,8 @@ def cmd_witness(cfg: RunConfig) -> int:
 
 
 def cmd_diversity(cfg: RunConfig) -> int:
+    from .diversity import CensusConfig, run_census
+
     cover = _load_cover(cfg)
     _require(cfg, "N")
     census = run_census(
@@ -361,6 +360,9 @@ def cmd_diversity(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
+    from .sieve import DiversityParams, build_PF, enumerate_MF
+    from .witnesses import recheck_witness, verify_property_C, verify_property_D, verify_property_E, witnesses_for_MF
+
     cover = _load_cover(cfg)
     F = critical_polynomial(cover)
     hard_failures = 0

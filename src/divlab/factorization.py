@@ -314,11 +314,14 @@ def _equal_degree_split(f: list[int], d: int, p: int, rng: random.Random) -> lis
 
 
 def is_irreducible_mod_p(f: IntPoly, p: int) -> bool:
-    """True iff f mod p is irreducible of full degree.  Ben-Or's test: the
+    """True iff f mod p is irreducible of full degree.  A cubic is
+    irreducible iff it has no root; above degree 3, Ben-Or's test: the
     first distinct-degree stage of f is all of f."""
     a = _reduce_mod_p(f, p)
     if len(a) != len(f.coeffs) or len(a) <= 1:
         return False
+    if len(a) == 4:
+        return not has_root_mod_p(f, p)
     return next(_distinct_degree(a, p))[1] == len(a) - 1
 
 

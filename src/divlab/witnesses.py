@@ -12,7 +12,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .algebra import IntPoly, poly_discriminant
+from .algebra import IntPoly, LemmaViolation, poly_discriminant
 from .factorization import factor_integer, is_prime, roots_mod_p
 from .sieve import ChebotarevSieve, DiversityParams, MFElement
 
@@ -31,11 +31,6 @@ class NoRootError(ValueError):
     def __init__(self, p: int):
         super().__init__(f"no root modulo {p}")
         self.p = p
-
-
-class LemmaViolation(RuntimeError):
-    """No valid shift exists although the hypotheses hold; indicates an
-    implementation bug, not bad input."""
 
 
 def _squarefree_primes(m: int) -> tuple[int, ...]:

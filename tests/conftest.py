@@ -8,10 +8,16 @@ of the cross-checks.
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import sympy
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def squarefree_kernel_table(N):
@@ -149,3 +155,21 @@ def small_PF_quadratic():
     from divlab.sieve import build_PF
 
     return build_PF(IntPoly.of([1, 0, 1]), 30)
+
+
+def fresh_cli_run(*argv, cwd=None):
+    """Import divlab.cli in a fresh interpreter and, given argv, run main
+    on it there.  Returns main's exit code (None without argv) and the
+    names of the divlab modules the interpreter then holds."""
+    child = (
+        "import sys\n"
+        "from divlab.cli import main\n"
+        "code = main(sys.argv[1:]) if sys.argv[1:] else None\n"
+        "print(code, *sorted(m for m in sys.modules if m.partition('.')[0] == 'divlab'))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", child, *argv], cwd=cwd, env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, check=True,
+    )
+    code, *modules = done.stdout.splitlines()[-1].split()
+    return None if code == "None" else int(code), set(modules)

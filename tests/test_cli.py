@@ -8,12 +8,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import fresh_cli_run
 
-import divlab.cli
 import divlab.diversity
+import divlab.sieve
+import divlab.witnesses
 from divlab.cli import ConfigError, RunConfig, build_parser, load_config, main, merge_flags
 from divlab.sieve import MFElement, build_PF
-from divlab.witnesses import find_cliques
+from divlab.witnesses import LemmaViolation, find_cliques
 
 
 def run(capsys, *argv):
@@ -25,6 +27,27 @@ def run(capsys, *argv):
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
+
+
+WITNESS_ARGS = (
+    "--cover", "u^2 + t^2 + 1", "--x", "10000", "--mode", "override",
+    "--k", "1", "--y", "5", "--window-lo", "50", "--window-hi", "100",
+    "--tail", "off",
+)
+
+
+@pytest.mark.parametrize("argv, code, layers", [
+    (("analyze", "--cover", "u^2 - t"), 0, {"sieve", "factorization"}),
+    (("sieve", *WITNESS_ARGS), 0, {"sieve", "factorization"}),
+    (("witness", *WITNESS_ARGS), 0, {"sieve", "factorization", "witnesses"}),
+    (("verify", "--cover", "u^2 - t"), 0, {"sieve", "factorization", "witnesses"}),
+    (("diversity", "--cover", "u^2 - t", "--N", "50"), 0, {"diversity", "sieve", "factorization"}),
+    (("diversity", "--cover", "u^2 - t", "--N", "5"), 1, set()),
+], ids=["analyze", "sieve", "witness", "verify", "diversity", "config-error"])
+def test_a_run_loads_only_the_layers_it_runs(tmp_path, argv, code, layers):
+    # in a fresh interpreter, after importing the CLI (divlab, algebra, cli)
+    want = {"divlab", "divlab.algebra", "divlab.cli"} | {f"divlab.{layer}" for layer in layers}
+    assert fresh_cli_run(*argv, cwd=tmp_path) == (code, want)
 
 
 class TestConfig:
@@ -290,15 +313,9 @@ class TestAnalyze:
 
 
 class TestWitnessCommand:
-    ARGS = (
-        "--cover", "u^2 + t^2 + 1", "--x", "10000", "--mode", "override",
-        "--k", "1", "--y", "5", "--window-lo", "50", "--window-hi", "100",
-        "--tail", "off",
-    )
-
     def test_override_example(self, tmp_path, capsys):
         code, out, _ = run(
-            capsys, "witness", *self.ARGS, "--out", str(tmp_path)
+            capsys, "witness", *WITNESS_ARGS, "--out", str(tmp_path)
         )
         assert code == 0
         rows = read_csv(tmp_path / "witnesses.csv")
@@ -367,11 +384,20 @@ class TestWitnessCommand:
             calls.append(limit)
             return build_PF(F, limit)
 
-        monkeypatch.setattr(divlab.cli, "build_PF", counting_build_PF)
+        monkeypatch.setattr(divlab.sieve, "build_PF", counting_build_PF)
         code, out, _ = run(capsys, command, "--cover", "u^2 + t^2 + 1", *args,
                            "--out", str(tmp_path))
         assert code == 0 and "|M_F(x)| = 0 " not in out
         assert calls == limits
+
+    def test_lemma_violation_exits_3(self, tmp_path, capsys, monkeypatch):
+        def violated(*args, **kwargs):
+            raise LemmaViolation("no valid shift for m = 65")
+
+        monkeypatch.setattr(divlab.witnesses, "witnesses_for_MF", violated)
+        code, _, err = run(capsys, "witness", *WITNESS_ARGS, "--out", str(tmp_path))
+        assert code == 3
+        assert err == "invariant violation: no valid shift for m = 65\n"
 
     def test_window_past_x_over_k_plus_two_is_config_error(self, tmp_path, capsys):
         code, _, err = run(
@@ -556,13 +582,12 @@ class TestDiversityCommand:
 class TestVerifyCommand:
     def test_quadratic_family(self, capsys, monkeypatch):
         limits = []
-        build_PF = divlab.cli.build_PF
 
         def counting_build_PF(F, limit):
             limits.append(limit)
             return build_PF(F, limit)
 
-        monkeypatch.setattr(divlab.cli, "build_PF", counting_build_PF)
+        monkeypatch.setattr(divlab.sieve, "build_PF", counting_build_PF)
         code, out, _ = run(capsys, "verify", "--cover", "u^2 - t")
         assert code == 0
         # every line checks the cover it names
@@ -576,14 +601,14 @@ class TestVerifyCommand:
         assert limits == [10_000]  # one P_F serves every suite at the default limit
 
     def test_property_E_violation_is_a_hard_failure(self, capsys, monkeypatch):
-        verify_property_E = divlab.cli.verify_property_E
+        verify_property_E = divlab.witnesses.verify_property_E
 
         def with_violation(F, n_lo, n_hi, **kw):
             rep = verify_property_E(F, n_lo, n_hi, **kw)
             assert rep.violations == ()
             return replace(rep, violations=((n_lo, F.degree + 1),))
 
-        monkeypatch.setattr(divlab.cli, "verify_property_E", with_violation)
+        monkeypatch.setattr(divlab.witnesses, "verify_property_E", with_violation)
         code, out, _ = run(capsys, "verify", "--cover", "u^2 - t")
         assert code == 3
         assert "1 above-threshold, 0 indeterminate: FAIL" in out

@@ -111,11 +111,12 @@ class TestHasRootModP:
     )
     def test_cubic_root_iff_reducible(self, coeffs, p):
         # a cubic that is squarefree of full degree mod p is irreducible
-        # there exactly when it has no root
+        # there exactly when it has no root; is_irreducible_mod_p reads the
+        # root test, so sympy is the oracle
         f = IntPoly.of(coeffs)
         assume(f.degree == 3 and f.lc % p != 0)
         assume(poly_discriminant(f) % p != 0)
-        assert has_root_mod_p(f, p) == (not is_irreducible_mod_p(f, p))
+        assert has_root_mod_p(f, p) == (not irreducible_per_sympy(f, p))
 
     def test_cubics_at_every_prime_to_3000(self):
         legendre = set()
@@ -357,6 +358,19 @@ class TestIrreducibleModP:
         monkeypatch.setattr(factorization, "_ppowmod", recorded)
         assert is_irreducible_mod_p(f, p)
         assert 0 < len(powered) <= f.degree // 2
+
+    @pytest.mark.parametrize("coeffs,p", [
+        # irreducible at p = 1 and 2 mod 3 and at p = 5; a root; a repeated
+        # root (x^3 - x - 1 has discriminant -23); three roots
+        ((-1, -1, 0, 1), 29), ((-1, -1, 0, 1), 13), ((3, 2, 5, 7), 5), ((-2, 0, 0, 1), 103),
+        ((-1, -1, 0, 1), 5), ((-1, -1, 0, 1), 23), ((-6, 11, -6, 1), 101),
+    ])
+    def test_cubic_takes_no_powers(self, monkeypatch, coeffs, p):
+        # of full degree it is irreducible iff it has no root, which
+        # has_root_mod_p decides by closed-form criteria at p >= 5
+        f = IntPoly.of(list(coeffs))
+        monkeypatch.setattr(factorization, "_ppowmod", None)
+        assert is_irreducible_mod_p(f, p) == irreducible_per_sympy(f, p)
 
 
 class TestFactorOverZ:

@@ -2,7 +2,8 @@
 in it, every top-level function or class is referenced somewhere in the
 package other than its own body (a public one may instead be exported or
 traced by the benchmark), every name the package exports or
-the benchmark's tracer rebinds exists, no package module reads the
+the benchmark's tracer rebinds exists, `import divlab.cli` loads no
+layer but algebra, no package module reads the
 process environment or holds an `assert` statement, and the CLI's table
 of the keys each run reads covers every key and every run and matches
 README's.
@@ -21,6 +22,7 @@ from pathlib import Path
 import pytest
 
 import divlab
+from conftest import fresh_cli_run
 from divlab.cli import _KEYS, _READS, build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -218,6 +220,11 @@ def test_public_detector():
     )
     b = "from .a import imported\n"
     assert unreferenced_public({"a.py": a, "b.py": b}, {"a.py: exempt"}) == ["a.py: recursive", "a.py: Orphan"]
+
+
+def test_importing_the_cli_loads_only_algebra():
+    # each subcommand imports the other layers it runs when it runs
+    assert fresh_cli_run() == (None, {"divlab", "divlab.algebra", "divlab.cli"})
 
 
 def test_exported_names_resolve():
