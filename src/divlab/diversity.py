@@ -133,20 +133,14 @@ def _fingerprint(disc: int, primes: Sequence[int], effort: int) -> FieldFingerpr
     return FieldFingerprint(odd_valuation_primes=tuple(sorted(odd)), complete=complete)
 
 
-@dataclass(frozen=True)
-class EtaReport:
-    epsilon: float
-    eta: float
-
-
-def eta_exponent(d: int, delta: float) -> EtaReport:
-    """eta = delta * epsilon / 2 with epsilon = 1/(1000 log(2d))."""
+def eta_exponent(d: int, delta: float) -> float:
+    """The census exponent eta = delta * epsilon / 2, with epsilon =
+    default_epsilon(d) = 1/(1000 log(2d))."""
     if d < 1:
         raise ValueError("d must be at least 1")
     if not (0 < delta <= 1):
         raise ValueError("delta must lie in (0, 1]")
-    epsilon = default_epsilon(d)
-    return EtaReport(epsilon=epsilon, eta=delta * epsilon / 2.0)
+    return delta * default_epsilon(d) / 2.0
 
 
 @dataclass(frozen=True)
@@ -174,13 +168,6 @@ class DiversityCensus:
     @property
     def bound_value(self) -> float:
         return self.N / math.log(self.N) ** (1.0 - self.eta)
-
-
-@dataclass(frozen=True)
-class CensusConfig:
-    effort: int = 1_000_000
-    delta: Optional[float] = None  # defaults to the measured density
-    workers: int = 1
 
 
 # fibers per task when the census runs on worker processes
@@ -229,7 +216,7 @@ def _fiber_discriminant(coeffs: Sequence[int], Dn: int) -> int:
     return disc
 
 
-def _census_row(cover: CurveCover, D: IntPoly, effort: Optional[int], n: int, known: Sequence[int],
+def _census_row(cover: CurveCover, D: IntPoly, effort: int, n: int, known: Sequence[int],
                 certified: bool) -> tuple[int, Optional[bool], Optional[FieldFingerprint]]:
     """(fiber_degree, irreducible, fingerprint) for fiber n, given
     D = discriminant_in_u(cover), some primes of its discriminant (see
@@ -239,16 +226,17 @@ def _census_row(cover: CurveCover, D: IntPoly, effort: Optional[int], n: int, kn
     (see _fiber_discriminant), so no fiber needs a resultant.  Only a
     fiber of degree >= 3 that no table certifies builds fiber_poly, for
     the routes of is_fiber_irreducible.  An irreducible fiber is
-    fingerprinted unless effort is None."""
+    fingerprinted."""
     coeffs = [h(n) for h in cover.coeffs_u]
     if coeffs[-1] == 0:
         return -1, None, None
     disc = _fiber_discriminant(coeffs, D(n))
     irr = certified or _irreducible(cover.nu, disc, functools.partial(fiber_poly, cover, n))
-    return cover.nu, irr, _fingerprint(disc, known, effort) if irr and effort is not None else None
+    return cover.nu, irr, _fingerprint(disc, known, effort) if irr else None
 
 
-def run_census(cover: CurveCover, N: int, config: CensusConfig = CensusConfig()) -> DiversityCensus:
+def run_census(cover: CurveCover, N: int, *, effort: int = 1_000_000, delta: Optional[float] = None,
+               workers: int = 1) -> DiversityCensus:
     """Walk n = 1..N: test irreducibility, fingerprint the irreducible
     fibers, and count distinct fingerprints conservatively: a complete
     fingerprint counts when no complete one before it has its primes, a
@@ -261,23 +249,25 @@ def run_census(cover: CurveCover, N: int, config: CensusConfig = CensusConfig())
     per prime below 60, which certifies most fibers of degree >= 3
     irreducible from n mod p alone (see _certified).
     eta comes first, from F = critical_polynomial(cover) and delta
-    (measured on F unless the config sets it), so a degenerate cover
-    raises before any fiber is specialized."""
+    (measured on F, as delta_hat of build_PF(F, 10^4), unless given), so a
+    degenerate cover raises before any fiber is specialized.  effort
+    bounds factor_integer's rho on what the primes leave of each
+    discriminant, and workers > 1 runs the fibers on that many worker
+    processes, with the same rows."""
     if N < 10:
         raise ValueError("census needs N >= 10")
     F = critical_polynomial(cover)
-    delta = config.delta
     if delta is None:
         delta = float(build_PF(F, _DELTA_SIEVE_LIMIT).delta_hat)
-    eta = eta_exponent(F.degree, delta).eta
+    eta = eta_exponent(F.degree, delta)
     D = discriminant_in_u(cover)
     content, factors = factor_over_Z(D)
     ns = range(1, N + 1)
-    known = factor_integer(content, effort=config.effort).primes
+    known = factor_integer(content, effort=effort).primes
     primes = _sieved_primes(known, tuple(h for h, _ in factors if h.degree == 1), ns)
     certified = _certified(cover, ns)
-    row = functools.partial(_census_row, cover, D, config.effort)
-    if config.workers <= 1:
+    row = functools.partial(_census_row, cover, D, effort)
+    if workers <= 1:
         verdicts = map(row, ns, primes, certified)
     else:
         # imported here: the process pool's modules would add ~25 ms to
@@ -286,7 +276,7 @@ def run_census(cover: CurveCover, N: int, config: CensusConfig = CensusConfig())
 
         # per-fiber cost grows with n: small chunks pulled by whichever
         # worker is free keep the workers evenly loaded
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             verdicts = list(pool.map(row, ns, primes, certified, chunksize=_CENSUS_CHUNK))
 
     complete_seen: set[tuple[int, ...]] = set()

@@ -18,30 +18,15 @@ from .factorization import has_root_mod_p
 
 
 def prime_sieve(limit: int) -> list[int]:
-    """All primes <= limit, by a segmented sieve of Eratosthenes."""
+    """All primes <= limit, by a sieve of Eratosthenes."""
     if limit < 2:
         raise ValueError("limit must be at least 2")
-    root = math.isqrt(limit)
-    base = bytearray([1]) * (root + 1)
-    base[0:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(root) + 1):
-        if base[i]:
-            base[i * i :: i] = bytearray(len(base[i * i :: i]))
-    small = list(itertools.compress(range(root + 1), base))
-    primes = list(small)
-    seg_len = max(root, 1 << 16)
-    lo = root + 1
-    while lo <= limit:
-        hi = min(lo + seg_len - 1, limit)
-        seg = bytearray([1]) * (hi - lo + 1)
-        for p in small:
-            if p * p > hi:
-                break
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            seg[start - lo :: p] = bytearray(len(seg[start - lo :: p]))
-        primes.extend(itertools.compress(range(lo, hi + 1), seg))
-        lo = hi + 1
-    return primes
+    flags = bytearray([1]) * (limit + 1)
+    flags[0:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(limit) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytes((limit - i * i) // i + 1)
+    return list(itertools.compress(range(limit + 1), flags))
 
 
 @dataclass(frozen=True)
@@ -109,8 +94,9 @@ class DiversityParams:
 
     `paper` derives k, y and the window from (x, epsilon, delta):
     kappa = log log x, k = floor(eps*delta*kappa) + 1, y = exp((log x)^(1-eps)),
-    window [x/(2 kappa), x/kappa]. `override` takes them as given. `mode`
-    records which constructor made the bundle and is stamped on all outputs.
+    window [x/(2 kappa), x/kappa]. Called directly, the class takes them
+    as given, with no tail constraint unless one is set. `mode` records
+    which of the two made the bundle and is stamped on all outputs.
     """
 
     x: float
@@ -118,8 +104,8 @@ class DiversityParams:
     y: float
     window_lo: float
     window_hi: float
-    tail_exponent: Optional[Fraction]  # None switches the tail constraint off
-    mode: str  # "paper" | "override"
+    tail_exponent: Optional[Fraction] = None  # None switches the tail constraint off
+    mode: str = "override"  # "paper" | "override"
 
     @staticmethod
     def paper(
@@ -144,25 +130,6 @@ class DiversityParams:
             mode="paper",
         )
 
-    @staticmethod
-    def override(
-        x: float,
-        k: int,
-        y: float,
-        window_lo: float,
-        window_hi: float,
-        tail_exponent: Optional[Fraction] = None,
-    ) -> "DiversityParams":
-        return DiversityParams(
-            x=x,
-            k=k,
-            y=y,
-            window_lo=window_lo,
-            window_hi=window_hi,
-            tail_exponent=tail_exponent,
-            mode="override",
-        )
-
     # integer window bounds, rounded outward so float noise never drops
     # a boundary element
     @property
@@ -176,8 +143,12 @@ class DiversityParams:
     @property
     def prime_bound(self) -> int:
         """The largest prime an element of M_F(x) can contain: its k
-        smaller primes are each at least max(2, ceil(y)), and m <= hi_int."""
-        return self.hi_int // max(2, math.ceil(self.y)) ** self.k
+        smaller primes are each at least max(2, ceil(y)), and m <= hi_int.
+        Once 2**k exceeds |hi_int| the quotient is known without the power."""
+        hi = self.hi_int
+        if self.k >= hi.bit_length():
+            return -1 if hi < 0 else 0
+        return hi // max(2, math.ceil(self.y)) ** self.k
 
     def tail_ok(self, P: int) -> bool:
         """Exact integer test for P >= x^tail_exponent (x rounded to int)."""

@@ -256,17 +256,13 @@ class PropertyDReport:
     failures: tuple[int, ...]  # primes with no n <= 2p such that p || F(n)
 
 
-def verify_property_D(sieve: ChebotarevSieve, limit: Optional[int] = None) -> PropertyDReport:
-    """For each prime in the sieve (up to limit), find n <= 2p with
-    p || F(n).  Failing primes are listed in the report, not raised;
-    `divlab verify` counts any as a hard failure (exit 3)."""
+def verify_property_D(sieve: ChebotarevSieve) -> PropertyDReport:
+    """For each prime in the sieve, find n <= 2p with p || F(n).
+    Failing primes are listed in the report, not raised; `divlab verify`
+    counts any as a hard failure (exit 3)."""
     F = sieve.F
     failures = []
-    checked = 0
     for p in sieve.primes_in_PF:
-        if limit is not None and p > limit:
-            break
-        checked += 1
         found = False
         for r in roots_mod_p(F, p):
             candidates = (r, r + p) if r > 0 else (p, 2 * p)
@@ -278,7 +274,7 @@ def verify_property_D(sieve: ChebotarevSieve, limit: Optional[int] = None) -> Pr
                 break
         if not found:
             failures.append(p)
-    return PropertyDReport(checked=checked, failures=tuple(failures))
+    return PropertyDReport(checked=len(sieve.primes_in_PF), failures=tuple(failures))
 
 
 @dataclass(frozen=True)

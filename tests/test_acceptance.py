@@ -107,7 +107,7 @@ def test_criterion_05_witness_bound():
     for F in (T2P1, CUBIC):
         x = 10**4
         sieve = build_PF(F, x)
-        params = DiversityParams.override(
+        params = DiversityParams(
             x=x, k=1, y=5, window_lo=x / 8, window_hi=x / 4
         )
         with warnings.catch_warnings():
@@ -184,7 +184,7 @@ def test_criterion_08_mf_enumeration_oracle():
         (CUBIC, 2, 2, None),
     ):
         sieve = build_PF(F, x)
-        params = DiversityParams.override(
+        params = DiversityParams(
             x=x, k=k, y=y,
             window_lo=x / 8, window_hi=x / 4, tail_exponent=tail,
         )
@@ -227,7 +227,7 @@ def test_criterion_09_properties_CDE():
 def test_criterion_10_trend_report():
     """Advisory: distinct/N >= 0.6 at N = 10^3, 10^4, 10^5 and above
     N/(log N)^(1-eta)."""
-    eta = eta_exponent(1, 1.0).eta
+    eta = eta_exponent(1, 1.0)
     lines = []
     ok = True
     for N in (10**3, 10**4, 10**5):

@@ -70,8 +70,8 @@ class TestConfig:
 
     def test_limit_below_x(self):
         cfg = RunConfig(cover="u^2 - t", x=1000.0, limit=100)
-        with pytest.raises(ConfigError):
-            cfg.validate("analyze")
+        with pytest.raises(ConfigError, match="sieve limit 100 is below x = 1000"):
+            cfg.validate("sieve")
 
     def test_flags_win(self, tmp_path):
         import argparse
@@ -142,6 +142,7 @@ class TestConfigErrors:
         ("diversity", "delta", "1.5", ("--N", "20")),
         ("analyze", "tail", "2", ()),
         ("analyze", "tail", "1/0", ()),
+        ("sieve", "tail", "0.99999", ("--x", "10000")),
         ("sieve", "x", "2", ()),
         ("witness", "x", "2", ()),
         ("diversity", "N", "5", ()),
@@ -179,10 +180,16 @@ class TestConfigErrors:
         assert "paper or override" in run(capsys, "analyze", "--mode", "bogus")[2]
         assert "x > e" in run(capsys, "sieve", *self.COVER, "--x", "2")[2]
         assert "epsilon must lie in (0, 0.5]" in run(capsys, "analyze", "--epsilon", "0.7")[2]
-        err = run(capsys, "diversity", *self.COVER, "--N", "20", "--mode", "override", "--k", "2")[2]
+        err = run(capsys, "diversity", *self.COVER, "--N", "20", "--k", "2")[2]
         assert "diversity does not read k" in err
         err = run(capsys, "diversity", *self.COVER, "--N", "20", "--tail", "1/2")[2]
         assert "diversity does not read tail" in err
+        err = run(capsys, "sieve", *self.COVER, "--x", "1e4", "--tail", "0.9999")[2]
+        assert err == "config error: tail exponent needs a denominator of at most 1000, got 9999/10000\n"
+
+    @pytest.mark.parametrize("tail", ["0.999", "1/3", "999/1000"])
+    def test_tail_with_three_decimal_places_is_accepted(self, tail):
+        RunConfig(cover="u^2 - t", x=1e4, tail=Fraction(tail)).validate("sieve")
 
     def test_unknown_config_key(self, tmp_path, capsys):
         # a RunConfig method is not a key
@@ -203,11 +210,6 @@ class TestConfigErrors:
     def test_usage_errors(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == 1 and err.startswith("config error: ")
-
-    def test_analyze_accepts_small_x(self, capsys):
-        # x > e binds only where paper-mode parameters are derived
-        code, out, _ = run(capsys, "analyze", "--cover", "u^2 - t", "--x", "2")
-        assert code == 0 and "|P_F| = " in out
 
 
 class TestReadKeys:
@@ -231,6 +233,11 @@ class TestReadKeys:
         ("sieve", OVERRIDE, "budget", "500", "sieve (mode = override)"),
         ("sieve", OVERRIDE, "workers", "2", "sieve (mode = override)"),
         ("witness", OVERRIDE, "limit", "20000", "witness (mode = override)"),
+        # the census has no modes, analyze reads x only as a default
+        # limit, and verify always sieves to 10^4
+        ("diversity", ("--N", "20"), "mode", "override", "diversity"),
+        ("analyze", (), "x", "5000", "analyze"),
+        ("verify", (), "limit", "20000", "verify"),
     ])
     def test_unread_key_is_config_error(self, tmp_path, capsys, command, extra, key, text, what):
         text = str(tmp_path) if text == "OUT" else text
@@ -273,6 +280,7 @@ class TestReadKeys:
             argv = workloads.cli_args(w, seed) + ["--out", str(tmp_path)]
             merge_flags(RunConfig(), build_parser().parse_args(argv)).validate(w.command)
 
+    # verify reads no limit, but range checks come before that rule
     @pytest.mark.parametrize("command, limit", [
         ("analyze", "1"), ("analyze", "100"), ("analyze", "540"),
         ("verify", "1"), ("sieve", "1"), ("witness", "1"),
@@ -469,6 +477,17 @@ class TestSieveCommand:
             "warning: special squarefree set is empty for these parameters "
             "(mode=paper, k=1, y=9854, window=[2252, 4504], tail=None)\n"
         )
+
+    def test_huge_k_returns_at_once(self, tmp_path, capsys):
+        # prime_bound is 0 without computing 5^(10^9)
+        code, out, err = run(
+            capsys, "sieve", "--cover", "u^2 + t^2 + 1", "--x", "10000",
+            "--mode", "override", "--k", "1000000000", "--y", "5",
+            "--window-lo", "50", "--window-hi", "2000", "--tail", "off",
+            "--out", str(tmp_path),
+        )
+        assert code == 0 and "|M_F(x)| = 0 " in out
+        assert err.startswith("warning: special squarefree set is empty ")
 
     def test_window_past_x_over_k_plus_two_is_accepted(self, tmp_path, capsys):
         # the witness bound n_m <= m*(k+2) does not constrain the sieve

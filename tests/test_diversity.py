@@ -20,7 +20,6 @@ from divlab.algebra import (
     poly_discriminant,
 )
 from divlab.diversity import (
-    CensusConfig,
     DegenerateFiberError,
     eta_exponent,
     fiber_poly,
@@ -29,6 +28,7 @@ from divlab.diversity import (
     run_census,
 )
 from divlab.factorization import factor_integer, factor_over_Z, is_irreducible_mod_p
+from divlab.sieve import default_epsilon
 
 SQRT_COVER = parse_cover("u^2 - t")
 CUBIC_BASE = parse_cover("u^2 - t^3 + 3*t^2 - 2*t")
@@ -37,13 +37,17 @@ u = sympy.Symbol("u")
 
 
 def census_rows(cover, N):
-    """The census's (fiber_degree, irreducible, None) for n = 1..N, without
-    fingerprints: residue tables, then the degree routes.  Needs no
-    critical value, so any cover runs."""
+    """The census's (fiber_degree, irreducible, None) for n = 1..N:
+    residue tables, then the degree routes.  Needs no critical value, so
+    any cover runs.  No caller reads a fingerprint, so _fingerprint is
+    stubbed out: at N = 10^6 it would make the walk about eight times
+    slower."""
     ns = range(1, N + 1)
     D = discriminant_in_u(cover)
-    return [diversity._census_row(cover, D, None, n, (), cert)
-            for n, cert in zip(ns, diversity._certified(cover, ns))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diversity, "_fingerprint", lambda *args: None)
+        return [diversity._census_row(cover, D, 1, n, (), cert)
+                for n, cert in zip(ns, diversity._certified(cover, ns))]
 
 
 def count_reducible_fibers(cover, N):
@@ -207,7 +211,7 @@ class TestFiberPipeline:
             monkeypatch.setattr(diversity, name, counted)
         for workers in (1, 2):
             algebra.discriminant_in_u.cache_clear()
-            census = run_census(cover, 2200, CensusConfig(workers=workers))
+            census = run_census(cover, 2200, workers=workers)
             assert len(census.per_n) == 2200 and census.skipped == ()
             assert census.per_n[7].irreducible is False and census.reducible_count == 1
             assert algebra.discriminant_in_u.cache_info().misses == 1
@@ -294,7 +298,7 @@ class TestResidueTables:
                                                   ("2*u^4 - t^2*u + 3", 130, 1, 438, 4)):
             calls.clear()
             factors.clear()
-            run_census(parse_cover(text), N, CensusConfig(workers=workers, delta=1.0))
+            run_census(parse_cover(text), N, workers=workers, delta=1.0)
             assert (len(calls), len(factors)) == (tests, factored)
 
     def test_the_fibers_no_table_certifies_are_factored_over_Z(self, monkeypatch):
@@ -313,7 +317,7 @@ class TestResidueTables:
         monkeypatch.setattr(diversity, "factor_over_Z", lambda f: factors.append(f) or factor(f))
         for workers, fibers in ((1, uncertified), (2, [])):
             factors.clear()
-            census = run_census(cover, 2000, CensusConfig(workers=workers, delta=1.0))
+            census = run_census(cover, 2000, workers=workers, delta=1.0)
             assert census.skipped == () and census.reducible_count == 1
             assert [census.per_n[n - 1].irreducible for n in uncertified] == [False, True, True]
             # worker processes keep their own calls
@@ -374,12 +378,11 @@ class TestFingerprint:
 
 class TestEta:
     def test_d_one(self):
-        rep = eta_exponent(1, 1.0)
-        assert rep.epsilon == pytest.approx(1.4427e-3, rel=1e-3)
-        assert rep.eta == pytest.approx(7.213e-4, rel=1e-3)
+        assert default_epsilon(1) == pytest.approx(1.4427e-3, rel=1e-3)
+        assert eta_exponent(1, 1.0) == pytest.approx(7.213e-4, rel=1e-3)
 
     def test_d_two(self):
-        assert eta_exponent(2, 0.5).eta == pytest.approx(1.803e-4, rel=1e-3)
+        assert eta_exponent(2, 0.5) == pytest.approx(1.803e-4, rel=1e-3)
 
     def test_delta_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -419,8 +422,8 @@ class TestCensus:
                 assert (2 * row.n) % p == 0
 
     def test_worker_sharding_is_deterministic(self):
-        lone = run_census(SQRT_COVER, 400, CensusConfig(workers=1))
-        quad = run_census(SQRT_COVER, 400, CensusConfig(workers=4))
+        lone = run_census(SQRT_COVER, 400, workers=1)
+        quad = run_census(SQRT_COVER, 400, workers=4)
         assert lone.per_n == quad.per_n
         assert lone.distinct_lower_bound == quad.distinct_lower_bound
         # workers pull 25-fiber chunks in whatever order they finish, each
@@ -431,7 +434,7 @@ class TestCensus:
         certified = diversity._certified(parse_cover("2*u^4 - t^2*u + 3"), range(1, 131))
         assert [n for n, cert in zip(range(1, 131), certified) if not cert] == [25, 80, 90]
         for text, N in (("u^3 - t*u - t", 300), ("2*u^4 - t^2*u + 3", 130), ("u^3 - t", 130)):
-            runs = [run_census(parse_cover(text), N, CensusConfig(workers=w))
+            runs = [run_census(parse_cover(text), N, workers=w)
                     for w in (1, 2, 3)]
             assert runs[0].per_n == runs[1].per_n == runs[2].per_n
             assert len({r.distinct_lower_bound for r in runs}) == 1
@@ -472,7 +475,7 @@ class TestCensus:
             return rho(n, effort)
 
         monkeypatch.setattr(factorization, "_brent_rho", recorded)
-        census = run_census(cover, 300, CensusConfig(effort=200))
+        census = run_census(cover, 300, effort=200)
         census_calls, calls[:] = calls[:], []
         for row in census.per_n:
             if row.fingerprint is not None:
@@ -504,7 +507,7 @@ class TestLinearSieve:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(diversity, "factor_integer", lambda v, **kw: factored.append(v) or factor_integer(v, **kw))
             try:
-                census = run_census(cover, 60, CensusConfig(effort=2000, delta=1.0))
+                census = run_census(cover, 60, effort=2000, delta=1.0)
             except DegenerateCoverError:
                 assume(False)
         content, factors = factor_over_Z(discriminant_in_u(cover))
@@ -524,7 +527,7 @@ class TestLinearSieve:
         # isqrt(27*130 + 256) = 61, and those above 25 stride across the
         # 25-fiber chunks the workers take
         cover = parse_cover("u^4 - t*u - t")
-        lone, pair = (run_census(cover, 130, CensusConfig(workers=w)) for w in (1, 2))
+        lone, pair = (run_census(cover, 130, workers=w) for w in (1, 2))
         assert lone.per_n == pair.per_n
         assert any(25 < p <= 61 and (27 * row.n + 256) % p == 0
                    for row in lone.per_n if row.fingerprint is not None
@@ -539,7 +542,7 @@ class TestLinearSieve:
         limits = []
         sieve = diversity.prime_sieve
         monkeypatch.setattr(diversity, "prime_sieve", lambda limit: limits.append(limit) or sieve(limit))
-        census = run_census(cover, 12, CensusConfig(effort=effort, delta=1.0))
+        census = run_census(cover, 12, effort=effort, delta=1.0)
         assert limits == [diversity._TRIAL_BOUND]
         assert [row.fingerprint for row in census.per_n] == [fingerprint(fiber_poly(cover, n), effort)
                                                              for n in range(1, 13)]
@@ -550,6 +553,6 @@ class TestLinearSieve:
         limits = []
         sieve = diversity.prime_sieve
         monkeypatch.setattr(diversity, "prime_sieve", lambda limit: limits.append(limit) or sieve(limit))
-        census = run_census(parse_cover("u^3 - t*u - t"), 300, CensusConfig(workers=2, delta=1.0))
+        census = run_census(parse_cover("u^3 - t*u - t"), 300, workers=2, delta=1.0)
         assert sorted(limits) == [math.isqrt(300), math.isqrt(4 * 300 - 27)]
-        assert census.per_n == run_census(parse_cover("u^3 - t*u - t"), 300, CensusConfig(delta=1.0)).per_n
+        assert census.per_n == run_census(parse_cover("u^3 - t*u - t"), 300, delta=1.0).per_n

@@ -183,7 +183,7 @@ class TestDiversityParams:
         assert default_epsilon(2) == pytest.approx(1 / (1000 * math.log(4)))
 
     def test_tail_test_is_exact(self):
-        p = DiversityParams.override(
+        p = DiversityParams(
             x=10**4, k=1, y=2, window_lo=10, window_hi=20,
             tail_exponent=Fraction(1, 2),
         )
@@ -193,7 +193,7 @@ class TestDiversityParams:
 
 class TestEnumerateMF:
     def test_override_example(self, small_PF_quadratic):
-        params = DiversityParams.override(
+        params = DiversityParams(
             x=30, k=1, y=5, window_lo=50, window_hi=100, tail_exponent=None
         )
         mf = enumerate_MF(small_PF_quadratic, params)
@@ -202,7 +202,7 @@ class TestEnumerateMF:
 
     def test_single_prime_case(self):
         sieve = build_PF(T, 200)
-        params = DiversityParams.override(
+        params = DiversityParams(
             x=200, k=0, y=2, window_lo=40, window_hi=60,
             tail_exponent=Fraction(1, 4),
         )
@@ -222,7 +222,7 @@ class TestEnumerateMF:
 
     def test_limit_must_cover_x(self, small_PF_quadratic):
         # prime_bound = 1000 // 5 = 200, past the fixture's limit 30
-        params = DiversityParams.override(
+        params = DiversityParams(
             x=10**4, k=1, y=5, window_lo=50, window_hi=1000
         )
         with pytest.raises(ValueError):
@@ -233,7 +233,7 @@ class TestEnumerateMF:
         (100, 10**4, 100),   # x below prime_bound = 10^4 // 5
     ])
     def test_sieve_must_reach_min_of_x_and_prime_bound(self, x, window_hi, reach):
-        params = DiversityParams.override(x=x, k=1, y=5, window_lo=50, window_hi=window_hi)
+        params = DiversityParams(x=x, k=1, y=5, window_lo=50, window_hi=window_hi)
         assert min(x, params.prime_bound) == reach
         with pytest.raises(ValueError, match=f"sieve limit {reach - 1} is below min"):
             enumerate_MF(build_PF(T2P1, reach - 1), params)
@@ -247,10 +247,26 @@ class TestEnumerateMF:
         (2, 4.2, 1000.5, 40),  # window_hi rounds up to 1001, y up to 5
         (3, 1.5, 1000, 125),   # every p_i is at least 2
         (0, 3, 900, 900),
+        (10**9, 5, 375000, 0),  # 5^(10^9) is never computed
+        (10**9, 5, -5, -1),
     ])
     def test_prime_bound(self, k, y, window_hi, bound):
-        params = DiversityParams.override(x=10**6, k=k, y=y, window_lo=1, window_hi=window_hi)
+        params = DiversityParams(x=10**6, k=k, y=y, window_lo=1, window_hi=window_hi)
         assert params.prime_bound == bound
+
+    @given(
+        k=st.integers(0, 64),
+        y=st.floats(0.5, 50),
+        window_hi=st.one_of(st.integers(-10**20, 10**20), st.floats(-1e6, 1e6)),
+    )
+    # either side of the shortcut k >= hi_int.bit_length()
+    @example(k=64, y=2, window_hi=2**64)
+    @example(k=64, y=2, window_hi=2**64 - 1)
+    @example(k=64, y=2, window_hi=-2**64)
+    @example(k=1, y=2, window_hi=0)
+    def test_prime_bound_is_the_quotient(self, k, y, window_hi):
+        params = DiversityParams(x=10**6, k=k, y=y, window_lo=1, window_hi=window_hi)
+        assert params.prime_bound == params.hi_int // max(2, math.ceil(y)) ** k
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -275,7 +291,7 @@ class TestEnumerateMF:
         # guard was limit >= x: window [50, 100], so a sieve to
         # prime_bound = 20 is enough
         hi = x * hi_over_x
-        params = DiversityParams.override(
+        params = DiversityParams(
             x=x, k=k, y=y, window_lo=hi * lo_over_hi, window_hi=hi, tail_exponent=tail
         )
         with warnings.catch_warnings():
@@ -301,7 +317,7 @@ class TestEnumerateMF:
     def test_agrees_with_window_scan(self, F, k, y, window_lo, span, tail, x):
         # fractional y and window ends, windows reaching below 2, and k = 0;
         # the scan tests every defining condition of each m from scratch
-        params = DiversityParams.override(
+        params = DiversityParams(
             x=x, k=k, y=y, window_lo=window_lo, window_hi=min(window_lo + span, x), tail_exponent=tail,
         )
         sieve = build_PF(F, x)
@@ -313,7 +329,7 @@ class TestEnumerateMF:
     def test_independent_membership_recheck(self):
         x = 10**4
         sieve = build_PF(T2P1, x)
-        params = DiversityParams.override(
+        params = DiversityParams(
             x=x, k=1, y=5, window_lo=x / 8, window_hi=x / 4
         )
         mf = enumerate_MF(sieve, params)
@@ -332,7 +348,7 @@ class TestCardinalityReport:
 
         def params_for(x):
             kappa = math.log(math.log(x))
-            return DiversityParams.override(
+            return DiversityParams(
                 x=x, k=1, y=2,
                 window_lo=x / (2 * kappa), window_hi=x / kappa,
                 tail_exponent=Fraction(1, 2),

@@ -152,7 +152,7 @@ class TestPrimitiveWitness:
     @pytest.mark.parametrize("F", [T2P1, CUBIC], ids=["T2P1", "CUBIC"])
     def test_set_pipeline_agrees_with_single_witness(self, F):
         x = 10**5
-        params = DiversityParams.override(
+        params = DiversityParams(
             x=x, k=2, y=5, window_lo=x / 16, window_hi=x / 4
         )
         mf = enumerate_MF(build_PF(F, x), params)
@@ -170,7 +170,7 @@ class TestPrimitiveWitness:
             return wrapper
 
         x = 10**5
-        params = DiversityParams.override(
+        params = DiversityParams(
             x=x, k=2, y=5, window_lo=x / 16, window_hi=x / 4
         )
         mf = enumerate_MF(build_PF(T2P1, x), params)
@@ -184,7 +184,7 @@ class TestPrimitiveWitness:
         assert sorted(p for _, p in calls["roots_mod_p"]) == sorted({p for e in mf for p in e.primes})
 
     def test_mf_bound_with_params(self, small_PF_quadratic):
-        params = DiversityParams.override(
+        params = DiversityParams(
             x=1000, k=1, y=5, window_lo=50, window_hi=100, tail_exponent=None
         )
         mf = [MFElement(65, (5, 13)), MFElement(85, (5, 17))]
