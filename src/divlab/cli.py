@@ -119,7 +119,7 @@ class RunConfig:
                 raise ConfigError(f"{key} must lie in (0, {top}], got {v}")
         if self.tail is not None and not 0 < self.tail < 1:
             raise ConfigError(f"tail exponent must lie in (0, 1), got {self.tail}")
-        # the tail test raises candidate primes to the denominator's power
+        # the tail bound is found, once per run, from powers P**denominator
         if self.tail is not None and self.tail.denominator > 1000:
             raise ConfigError(f"tail exponent needs a denominator of at most 1000, got {self.tail}")
         if self.x is not None and self.limit is not None and self.limit < self.x:
@@ -277,7 +277,7 @@ def cmd_sieve(cfg: RunConfig) -> int:
     F = critical_polynomial(cover)
     sieve, params = _sieve_and_params(cfg, F)
     mf = enumerate_MF(sieve, params)
-    rows = [[e.m, _fact_str(e.primes), e.P, e.m1] for e in mf]
+    rows = ([e.m, _fact_str(e.primes), e.P, e.m1] for e in mf)
     path = os.path.join(cfg.out, "mf.csv")
     _write_csv(path, ["m", "factorization", "P", "m1"], rows)
     print(f"mode = {params.mode}")
@@ -299,17 +299,18 @@ def cmd_witness(cfg: RunConfig) -> int:
     wits = witnesses_for_MF(F, mf, params)
     d = cfg.d or F.degree
     stats = classify_greedy(wits, d)
-    rows = [
+    rows = (
         [w.m, _fact_str(w.primes), w.n_m, w.shift_l, "greedy" if w.greedy else "generous"]
         for w in wits
-    ]
+    )
     path = os.path.join(cfg.out, "witnesses.csv")
     _write_csv(path, ["m", "factorization", "n_m", "shift_l", "greedy"], rows)
     cliques = find_cliques(mf)
     cpath = os.path.join(cfg.out, "cliques.csv")
     with open(cpath, "w", encoding="utf-8", newline="") as fh:
         fh.write("P,m1,m2,m3,type\n")
-        fh.writelines(cliques)
+        for lines in cliques:  # one P-group in memory at a time
+            fh.writelines(lines)
     print(f"mode = {params.mode}")
     print(f"|M_F(x)| = {len(mf)} -> {path}")
     print(f"greedy = {stats.greedy}, generous = {stats.generous}")
@@ -329,7 +330,7 @@ def cmd_diversity(cfg: RunConfig) -> int:
     cover = _load_cover(cfg)
     _require(cfg, "N")
     census = run_census(cover, cfg.N, effort=cfg.budget, delta=cfg.delta, workers=cfg.workers)
-    rows = [
+    rows = (
         [
             r.n,
             r.fiber_degree,
@@ -338,7 +339,7 @@ def cmd_diversity(cfg: RunConfig) -> int:
             str(r.new_field).lower(),
         ]
         for r in census.per_n
-    ]
+    )
     path = os.path.join(cfg.out, "census.csv")
     _write_csv(path, ["n", "fiber_degree", "irreducible", "fingerprint", "new_field"], rows)
     print(f"N = {census.N}")

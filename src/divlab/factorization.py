@@ -142,9 +142,11 @@ class ModPolyFactorization:
 
 def roots_mod_p(f: IntPoly, p: int) -> list[int]:
     """All residues r in [0, p) with f(r) = 0 mod p, sorted, each listed
-    once: by evaluation for p < 50, otherwise by splitting
-    gcd(f, x^p - x) into linear factors x - r with the equal-degree
-    (Cantor-Zassenhaus) step at degree 1."""
+    once: by evaluation for p < 50; otherwise, after reduction mod p,
+    -a0/a1 for degree 1, Euler's criterion and a Tonelli-Shanks square
+    root of the discriminant for degree 2, and for higher degree by
+    splitting gcd(f, x^p - x) into linear factors x - r with the
+    equal-degree (Cantor-Zassenhaus) step at degree 1."""
     a = _reduce_mod_p(f, p)
     if not a:
         raise AlgebraError(f"polynomial vanishes identically mod {p}")
@@ -152,10 +154,37 @@ def roots_mod_p(f: IntPoly, p: int) -> list[int]:
         return []
     if p < 50:
         return [r for r in range(p) if _eval_mod(a, r, p) == 0]
+    if len(a) == 2:
+        return [-a[0] * pow(a[1], -1, p) % p]
+    if len(a) == 3:
+        disc = (a[1] * a[1] - 4 * a[2] * a[0]) % p
+        if disc and pow(disc, (p - 1) // 2, p) != 1:
+            return []
+        s, inv = _sqrt_mod(disc, p), pow(2 * a[2], -1, p)
+        return sorted({(s - a[1]) * inv % p, (-s - a[1]) * inv % p})
     g = _linear_part(a, p)
     if len(g) <= 1:
         return []
     return sorted(-h[0] % p for h in _equal_degree_split(g, 1, p, random.Random(0x5EED ^ p)))
+
+
+def _sqrt_mod(n: int, p: int) -> int:
+    """A square root of the square n mod the odd prime p, by
+    Tonelli-Shanks: p - 1 = q * 2^e with q odd, and z a non-residue."""
+    if not n:
+        return 0
+    e = ((p - 1) & (1 - p)).bit_length() - 1
+    q = (p - 1) >> e
+    z = next(z for z in itertools.count(2) if pow(z, (p - 1) // 2, p) == p - 1)
+    c, t, r = pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    while t != 1:
+        # the least i with t^(2^i) = 1, then halve t's order
+        i, t2 = 1, t * t % p
+        while t2 != 1:
+            i, t2 = i + 1, t2 * t2 % p
+        b = pow(c, 1 << (e - i - 1), p)
+        e, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
 
 
 def has_root_mod_p(f: IntPoly, p: int) -> bool:

@@ -10,6 +10,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -150,12 +151,33 @@ class DiversityParams:
             return -1 if hi < 0 else 0
         return hi // max(2, math.ceil(self.y)) ** self.k
 
-    def tail_ok(self, P: int) -> bool:
-        """Exact integer test for P >= x^tail_exponent (x rounded to int)."""
+    @cached_property
+    def tail_bound(self) -> int:
+        """The least P >= 1 with P >= x^tail_exponent (x rounded to int),
+        exactly: P**b >= round(x)**a for tail_exponent = a/b; 1 without
+        a tail."""
         if self.tail_exponent is None:
-            return True
+            return 1
         a, b = self.tail_exponent.numerator, self.tail_exponent.denominator
-        return P**b >= round(self.x) ** a
+        target = round(self.x) ** a
+        if target <= 1:
+            return 1
+        # bisect on lo**b < target <= hi**b; exact tests on each side of
+        # the float root first narrow the bracket to a few units at any x
+        # a sieve can reach
+        lo, hi = 1, 1 << (target.bit_length() // b + 1)
+        est = round(2 ** min(math.log2(target) / b, 1000))
+        for P in (est - 1, est + 1):
+            if lo < P < hi:
+                lo, hi = (lo, P) if P**b >= target else (P, hi)
+        while hi - lo > 1:
+            P = (lo + hi) // 2
+            lo, hi = (lo, P) if P**b >= target else (P, hi)
+        return hi
+
+    def tail_ok(self, P: int) -> bool:
+        """P >= x^tail_exponent, for P >= 1."""
+        return P >= self.tail_bound
 
 
 def default_epsilon(d: int) -> float:
@@ -203,14 +225,14 @@ def enumerate_MF(sieve: ChebotarevSieve, params: DiversityParams) -> list[MFElem
     out: list[MFElement] = []
 
     def attach_large(m1: int, chosen: tuple[int, ...], min_idx: int) -> None:
-        lo_p = max(-(-lo // m1), (chosen[-1] + 1) if chosen else 2)
+        lo_p = max(-(-lo // m1), (chosen[-1] + 1) if chosen else 2, params.tail_bound)
         hi_p = hi // m1
         i = bisect.bisect_left(primes, lo_p, lo=min_idx)
         while i < len(primes) and primes[i] <= hi_p:
             P = primes[i]
-            # P >= y since min_idx >= y_idx, and lo <= m1*P <= hi by lo_p, hi_p
-            if params.tail_ok(P):
-                out.append(MFElement(m=m1 * P, primes=chosen + (P,)))
+            # P >= y since min_idx >= y_idx, P is past the tail by lo_p,
+            # and lo <= m1*P <= hi by lo_p, hi_p
+            out.append(MFElement(m=m1 * P, primes=chosen + (P,)))
             i += 1
 
     def extend(m1: int, chosen: tuple[int, ...], start: int) -> None:

@@ -357,28 +357,44 @@ def classify_greedy(witnesses: Iterable[WitnessRecord], d: int) -> GreedyStats:
     )
 
 
-def find_cliques(mf: Sequence[MFElement]) -> tuple[str, ...]:
-    """Group the set by largest prime and emit every triple of distinct
-    cofactors sharing a P, in P order and then in `itertools.combinations`
-    order over the sorted cofactors, each as its `cliques.csv` line
+@dataclass(frozen=True)
+class Cliques:
+    """The clique lines of a set, one P-group at a time.  Iterating yields
+    one list of `cliques.csv` lines per P with at least three cofactors,
+    in ascending P, and builds each list only when it is reached; len() is
+    the total number of lines, counted without building any."""
+
+    groups: tuple[tuple[int, tuple[int, ...]], ...]  # (P, sorted distinct cofactors)
+
+    def __len__(self) -> int:
+        return sum(math.comb(len(cofs), 3) for _, cofs in self.groups)
+
+    def __iter__(self) -> Iterator[list[str]]:
+        for P, cofs in self.groups:
+            text = [str(c) for c in cofs]
+            # lcms[i][j - i - 1] = lcm(cofs[i], cofs[j]) for i < j
+            lcms = [[math.lcm(a, b) for b in cofs[i + 1 :]] for i, a in enumerate(cofs)]
+            lines: list[str] = []
+            for i, a in enumerate(text):
+                head = f"{P},{a},"
+                for j in range(i + 1, len(cofs)):
+                    prefix, ab = head + text[j] + ",", lcms[i][j - i - 1]
+                    lines.extend([
+                        prefix + c + (",equal-lcm\n" if ab == ac == bc else ",proper-lcm\n")
+                        for c, ac, bc in zip(text[j + 1 :], lcms[i][j - i :], lcms[j])
+                    ])
+            yield lines
+
+
+def find_cliques(mf: Iterable[MFElement]) -> Cliques:
+    """Group the set by largest prime: every triple of distinct cofactors
+    sharing a P, in P order and then in `itertools.combinations` order
+    over the sorted cofactors, each as its `cliques.csv` line
     "P,m1,m2,m3,type\n".  A trio is "equal-lcm" when its three pairwise
     lcms agree (their common value is then the lcm of all three), and
-    "proper-lcm" otherwise."""
+    "proper-lcm" otherwise.  The lines come one P-group at a time, so a
+    writer holds only the largest group, never the whole file."""
     by_P: dict[int, set[int]] = defaultdict(set)
     for e in mf:
         by_P[e.P].add(e.m1)
-    lines: list[str] = []
-    for P, group in sorted(by_P.items()):
-        cofs = sorted(group)
-        text = [str(c) for c in cofs]
-        # lcms[i][j - i - 1] = lcm(cofs[i], cofs[j]) for i < j
-        lcms = [[math.lcm(a, b) for b in cofs[i + 1 :]] for i, a in enumerate(cofs)]
-        for i, a in enumerate(text):
-            head = f"{P},{a},"
-            for j in range(i + 1, len(cofs)):
-                prefix, ab = head + text[j] + ",", lcms[i][j - i - 1]
-                lines.extend([
-                    prefix + c + (",equal-lcm\n" if ab == ac == bc else ",proper-lcm\n")
-                    for c, ac, bc in zip(text[j + 1 :], lcms[i][j - i :], lcms[j])
-                ])
-    return tuple(lines)
+    return Cliques(tuple((P, tuple(sorted(g))) for P, g in sorted(by_P.items()) if len(g) >= 3))

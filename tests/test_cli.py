@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import itertools
 import math
+import tracemalloc
 from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
@@ -358,7 +359,7 @@ class TestWitnessCommand:
         ]
         header, body = (tmp_path / "w" / "cliques.csv").read_bytes().decode().split("\n", 1)
         assert header == "P,m1,m2,m3,type"
-        assert body == "".join(find_cliques(mf))
+        assert body == "".join(line for group in find_cliques(mf) for line in group)
         # an oracle of its own, read off mf.csv's P and m1 columns
         by_P = {}
         for _, _, P, m1 in read_csv(tmp_path / "s" / "mf.csv")[1:]:
@@ -372,6 +373,23 @@ class TestWitnessCommand:
         assert rows == want
         assert [row[4] for row in rows].count("equal-lcm") == 2
         assert [row[4] for row in rows].count("proper-lcm") == 59
+
+    def test_memory_is_bounded_by_a_P_group_not_by_the_file(self, tmp_path, capsys):
+        # every layer is imported above, so the trace sees only the run;
+        # cliques.csv has 42,297 rows (1.11 MB), written one P at a time
+        argv = [
+            "witness", "--cover", "u^2 + t^2 + 1", "--x", "800000", "--mode", "override",
+            "--k", "2", "--y", "5", "--window-lo", "40000", "--window-hi", "200000",
+            "--tail", "off", "--out", str(tmp_path),
+        ]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and "cliques = 42297 " in capsys.readouterr().out
+        assert peak < 2 * (tmp_path / "cliques.csv").stat().st_size
 
     @pytest.mark.parametrize("command, args, limits", [
         # M_F(x) reaches no prime above 15000 // 5^2 = 600

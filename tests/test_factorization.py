@@ -25,6 +25,7 @@ from divlab.factorization import (
 
 x = sympy.Symbol("x")
 PRIMES_TO_10K = [p for p in range(2, 10**4) if is_prime(p)]
+PRIMES_50_TO_20K = [p for p in range(50, 2 * 10**4) if is_prime(p)]
 
 
 def to_sympy(f):
@@ -80,6 +81,28 @@ class TestRootsModP:
                 continue
             brute = sorted(r for r in range(p) if f(r) % p == 0)
             assert roots_mod_p(f, p) == brute
+
+    # p - 1 = q * 2^e with e from 1 to 12: the Tonelli-Shanks loop runs up
+    # to e - 1 times; 12289 = 3 * 2^12 + 1 and 7681 = 15 * 2^9 + 1
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(st.sampled_from(PRIMES_50_TO_20K), st.sampled_from((257, 769, 7681, 12289, 18433))),
+        st.integers(-10**6, 10**6), st.integers(-10**6, 10**6), st.integers(-10**6, 10**6),
+        st.sampled_from(("any", "square", "lc")),
+    )
+    @example(12289, 3, 0, 1, "any")       # x^2 + 3, a root pair mod 12289
+    @example(7681, 5, 0, 1, "square")     # 5*(x - 1)^2 is 0 mod 7681 at 1 alone
+    @example(101, 7, 3, 2, "lc")          # 101*2*x^2 + 3x + 7 is linear mod 101
+    def test_degree_at_most_two_agrees_with_evaluation(self, p, c0, c1, c2, kind):
+        # roots in closed form once p >= 50: p | disc gives one double
+        # root, and p | lc drops the degree mod p
+        if kind == "square":  # c2 * (x - c1)^2
+            c0, c1 = c2 * c1 * c1, -2 * c2 * c1
+        elif kind == "lc":
+            c2 *= p
+        f = IntPoly.of([c0, c1, c2])
+        assume(f.degree >= 1 and any(c % p for c in f.coeffs))
+        assert roots_mod_p(f, p) == [r for r in range(p) if f(r) % p == 0]
 
 
 # discriminants -23, -31, -2^2 * 109 and -3^3 * 53^2 (a triple root mod

@@ -1,6 +1,7 @@
 import bisect
 import functools
 import math
+import time
 import warnings
 from fractions import Fraction
 
@@ -189,6 +190,37 @@ class TestDiversityParams:
         )
         assert p.tail_ok(100)      # 100^2 == 10^4
         assert not p.tail_ok(99)
+        assert p.tail_bound == 100
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 12), st.integers(1, 12), st.integers(0, 40), st.integers(1, 6),
+        st.sampled_from((-1, -0.5, -0.49, 0, 0.49, 0.5, 1)),
+    )
+    @example(1, 2, 100, 1, 0)       # x = 100 = 10^2
+    @example(2, 3, 9, 3, -1)        # x = 9^3 - 1, just below a cube
+    @example(5, 7, 2, 7, 0)         # x = 2^7, bound 2^5
+    def test_tail_bound_agrees_with_the_power_test(self, a, b, base, e, step):
+        # x near a perfect power, where x^(a/b) is an integer or just off one
+        x = base**e + step
+        p = DiversityParams(x=x, k=1, y=2, window_lo=1, window_hi=2, tail_exponent=Fraction(a, b))
+        a, b = p.tail_exponent.numerator, p.tail_exponent.denominator
+        bound = p.tail_bound
+        assert bound == 1 or (bound - 1) ** b < round(x) ** a <= bound**b
+        for P in {1, 2, *range(max(1, bound - 2), bound + 3)}:
+            assert p.tail_ok(P) == (P**b >= round(x) ** a)
+
+    def test_tail_with_a_large_denominator_is_fast(self):
+        # the tail bound is computed once, not as P**100000 per prime
+        params = DiversityParams(
+            x=10_000, k=1, y=5, window_lo=50, window_hi=2000, tail_exponent=Fraction(99999, 100000)
+        )
+        sieve = build_PF(T2P1, 10_000)
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert enumerate_MF(sieve, params) == []
+        assert time.perf_counter() - start < 1
 
 
 class TestEnumerateMF:

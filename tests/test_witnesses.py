@@ -281,17 +281,18 @@ class TestGreedy:
 class TestCliques:
     def test_no_shared_prime(self):
         mf = [MFElement(65, (5, 13)), MFElement(85, (5, 17))]
-        assert find_cliques(mf) == ()
+        assert list(find_cliques(mf)) == []
+        assert len(find_cliques(mf)) == 0
 
     def test_equal_lcm_type(self):
         P = 101
         mf = [MFElement(c * P, (c, P)) for c in (6, 10, 15)]
-        assert find_cliques(mf) == ("101,6,10,15,equal-lcm\n",)
+        assert list(find_cliques(mf)) == [["101,6,10,15,equal-lcm\n"]]
 
     def test_proper_lcm_type(self):
         P = 101
         mf = [MFElement(c * P, (c, P)) for c in (6, 10, 14)]
-        assert find_cliques(mf) == ("101,6,10,14,proper-lcm\n",)
+        assert list(find_cliques(mf)) == [["101,6,10,14,proper-lcm\n"]]
 
     def test_half_window_relations_hold(self):
         # cofactors drawn from a [c, 2c) window satisfy the pairwise size
@@ -299,7 +300,7 @@ class TestCliques:
         P = 997
         cofactors = (10, 14, 15, 19)
         mf = [MFElement(c * P, (c, P)) for c in cofactors]
-        rows = [line.split(",") for line in find_cliques(mf)]
+        rows = [line.split(",") for group in find_cliques(mf) for line in group]
         assert [int(row[0]) for row in rows] == [P] * 4
         trios = [tuple(map(int, row[1:4])) for row in rows]
         assert trios == list(itertools.combinations(cofactors, 3))
@@ -337,9 +338,15 @@ class TestCliques:
                 equal = all(math.lcm(u, v) == lcm3 for u, v in itertools.combinations((a, b, c), 2))
                 kind = "equal-lcm" if equal else "proper-lcm"
                 want.append(f"{P},{a},{b},{c},{kind}\n")
-        got = find_cliques(mf)
-        assert isinstance(got, tuple)
-        assert got == tuple(want)
+        cliques = find_cliques(mf)
+        groups = list(cliques)
+        # one nonempty group per P, in ascending P, built afresh on each pass
+        Ps = [{line.split(",")[0] for line in group} for group in groups]
+        assert all(len(P) == 1 for P in Ps)
+        assert [int(P.pop()) for P in Ps] == sorted({int(line.split(",")[0]) for line in want})
+        assert [line for group in groups for line in group] == want
+        assert list(cliques) == groups
+        assert len(cliques) == len(want)
 
 
 class TestSuites:
