@@ -78,7 +78,7 @@ _READS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     cover: Optional[str] = None
     N: Optional[int] = None
@@ -296,12 +296,12 @@ def cmd_witness(cfg: RunConfig) -> int:
     F = critical_polynomial(cover)
     sieve, params = _sieve_and_params(cfg, F)
     mf = enumerate_MF(sieve, params)
-    wits = witnesses_for_MF(F, mf, params)
+    wits = witnesses_for_MF(sieve, mf, params)
     d = cfg.d or F.degree
-    stats = classify_greedy(wits, d)
+    greedy = classify_greedy(wits, d)
     rows = (
-        [w.m, _fact_str(w.primes), w.n_m, w.shift_l, "greedy" if w.greedy else "generous"]
-        for w in wits
+        [w.m, _fact_str(w.primes), w.n_m, w.shift_l, "greedy" if g else "generous"]
+        for w, g in zip(wits, greedy)
     )
     path = os.path.join(cfg.out, "witnesses.csv")
     _write_csv(path, ["m", "factorization", "n_m", "shift_l", "greedy"], rows)
@@ -313,12 +313,15 @@ def cmd_witness(cfg: RunConfig) -> int:
             fh.writelines(lines)
     print(f"mode = {params.mode}")
     print(f"|M_F(x)| = {len(mf)} -> {path}")
-    print(f"greedy = {stats.greedy}, generous = {stats.generous}")
-    if stats.total:
+    n_greedy = sum(greedy)
+    print(f"greedy = {n_greedy}, generous = {len(wits) - n_greedy}")
+    if wits:
+        # |{n_m}| * 12d / |M_F|, compared to the asymptotic benchmark 1
+        distinct = len({w.n_m for w in wits})
         print(
-            f"distinct witnesses = {stats.distinct_witnesses} vs "
-            f"|M_F|/(12d) = {stats.total / (12 * d):.3f} "
-            f"(ratio {stats.witness_ratio:.3f})"
+            f"distinct witnesses = {distinct} vs "
+            f"|M_F|/(12d) = {len(wits) / (12 * d):.3f} "
+            f"(ratio {distinct * 12 * d / len(wits):.3f})"
         )
     print(f"cliques = {len(cliques)} -> {cpath}")
     return 0
@@ -365,27 +368,27 @@ def cmd_verify(cfg: RunConfig) -> int:
     # one sieve serves every check: the first 50 primes of P_F, each of
     # its primes up to 10^4, and M_F(10^4) for the witness re-check
     sieve = build_PF(F, 10_000)
-    c_viol = 0
-    for p in sieve.primes_in_PF[:50]:
-        c_viol += len(verify_property_C(F, p).violations)
+    c_viol = sum(len(verify_property_C(sieve, p).violations) for p in sieve.primes_in_PF[:50])
     print(f"exact-division after shift by p (first 50 primes): "
           f"{c_viol} violations: {'pass' if c_viol == 0 else 'FAIL'}")
     hard_failures += c_viol > 0
 
-    rep_d = verify_property_D(sieve)
-    print(f"small witness per prime: {rep_d.checked} primes, "
-          f"{len(rep_d.failures)} failures: {'pass' if not rep_d.failures else 'FAIL'}")
-    hard_failures += bool(rep_d.failures)
+    d_fail = verify_property_D(sieve)
+    print(f"small witness per prime: {len(sieve.primes_in_PF)} primes, "
+          f"{len(d_fail)} failures: {'pass' if not d_fail else 'FAIL'}")
+    hard_failures += bool(d_fail)
 
     rep_e = verify_property_E(F, 100, 2000, effort=cfg.budget)
-    # violations only expected at very small n; anything at n >= 100 for
-    # these degrees would be a bug.  Indeterminate n (an unsplit cofactor
-    # that could hide such primes) are reported, not failed.
+    # a violation, more than deg F primes >= n/4 where the size of F(n)
+    # rules that out, can only be a factorization fault.  Exceptions (the
+    # size allows them) and indeterminate n (an unsplit cofactor that
+    # could hide such primes) are reported, not failed.
     ok = not rep_e.violations
     hard_failures += not ok
     print(
         f"large-prime-divisor count (n in [100, 2000]): "
         f"{len(rep_e.violations)} above-threshold, "
+        f"{len(rep_e.exceptions)} allowed by size, "
         f"{len(rep_e.indeterminate)} indeterminate: {'pass' if ok else 'FAIL'}"
     )
 
@@ -393,7 +396,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         mf = enumerate_MF(sieve, params)
-    wits = witnesses_for_MF(F, mf[:200])
+    wits = witnesses_for_MF(sieve, mf[:200])
     bad = sum(1 for w in wits if not recheck_witness(F, w))
     print(f"witness re-check: {len(wits)} witnesses, {bad} failures: "
           f"{'pass' if bad == 0 else 'FAIL'}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import AlgebraError, CurveCover, IntPoly, critical_polynomial, discriminant_in_u, poly_discriminant
-from .factorization import factor_integer, factor_over_Z, is_irreducible_mod_p
+from .factorization import TRIAL_BOUND, factor_integer, factor_over_Z, is_irreducible_mod_p
 from .sieve import build_PF, default_epsilon, prime_sieve
 
 
@@ -99,9 +99,7 @@ class FieldFingerprint:
         return body + ("" if self.complete else "?")
 
 
-# trial-division bound for fiber discriminants, and the sieve limit that
-# measures delta for the census's eta
-_TRIAL_BOUND = 10_000
+# the sieve limit that measures delta for the census's eta
 _DELTA_SIEVE_LIMIT = 10_000
 
 
@@ -127,7 +125,7 @@ def _fingerprint(disc: int, primes: Sequence[int], effort: int) -> FieldFingerpr
             odd.append(p)
     complete = True
     if abs(disc) != 1:
-        fact = factor_integer(disc, trial_bound=_TRIAL_BOUND, effort=effort)
+        fact = factor_integer(disc, effort=effort)
         odd += [p for p, e in fact.factors if e % 2 == 1]
         complete = math.isqrt(fact.cofactor) ** 2 == fact.cofactor
     return FieldFingerprint(odd_valuation_primes=tuple(sorted(odd)), complete=complete)
@@ -177,7 +175,7 @@ _CENSUS_CHUNK = 25
 def _sieved_primes(known: tuple[int, ...], linear: tuple[IntPoly, ...], ns: range) -> list[list[int]]:
     """For each n in ns, the known primes plus the primes of a*n + b for
     each primitive a*t + b (a > 0) in linear, found by sieving ns: a prime
-    p <= limit = min(isqrt(max |a*n + b|), _TRIAL_BOUND), p not dividing a,
+    p <= limit = min(isqrt(max |a*n + b|), TRIAL_BOUND), p not dividing a,
     divides exactly the a*n + b with n = -b/a mod p.  What is left of
     |a*n + b| above 1 is prime below (limit + 1)^2, else it stays in the
     discriminant for factor_integer.  A zero a*n + b gets nothing: that
@@ -186,7 +184,7 @@ def _sieved_primes(known: tuple[int, ...], linear: tuple[IntPoly, ...], ns: rang
     for h in linear:
         b, a = h.coeffs
         rest = [abs(a * n + b) for n in ns]
-        limit = min(math.isqrt(max(rest)), _TRIAL_BOUND)
+        limit = min(math.isqrt(max(rest)), TRIAL_BOUND)
         for p in prime_sieve(max(2, limit)):
             if a % p == 0:
                 continue

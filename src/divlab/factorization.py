@@ -620,28 +620,32 @@ def _brent_rho(n: int, effort: int) -> int:
     return 0
 
 
-@functools.lru_cache(maxsize=None)
-def _trial_primes(bound: int) -> tuple[int, list[int]]:
-    """The product of the primes up to bound, and those primes."""
+# factor_integer divides out the primes up to this bound before rho
+TRIAL_BOUND = 10_000
+
+
+@functools.cache
+def _trial_primes() -> tuple[int, list[int]]:
+    """The product of the primes up to TRIAL_BOUND, and those primes."""
     # imported here: sieve imports this module
     from .sieve import prime_sieve
 
-    primes = prime_sieve(bound)
+    primes = prime_sieve(TRIAL_BOUND)
     return math.prod(primes), primes
 
 
-def factor_integer(nval: int, trial_bound: int = 10_000, effort: int = 1_000_000) -> IntFactorization:
+def factor_integer(nval: int, effort: int = 1_000_000) -> IntFactorization:
     """Factor a nonzero integer: trial division by the primes up to
-    trial_bound (at least 2, 3 and 5), found through one gcd with their
-    product, then Pollard rho (Brent) within the iteration budget on every
-    part proved composite, at or above _MR_LIMIT too.  A prime is listed
+    TRIAL_BOUND, found through one gcd with their product, then Pollard
+    rho (Brent) within the iteration budget on every part proved
+    composite, at or above _MR_LIMIT too.  A prime is listed
     only when is_prime certifies it; the unsplit part lands in cofactor."""
     if nval == 0:
         raise AlgebraError("cannot factor zero")
     sign = -1 if nval < 0 else 1
     n = abs(nval)
     found: dict[int, int] = {}
-    product, primes = _trial_primes(max(trial_bound, 5))
+    product, primes = _trial_primes()
     g = math.gcd(n, product)
     small = []
     for p in primes:

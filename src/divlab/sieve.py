@@ -175,10 +175,6 @@ class DiversityParams:
             lo, hi = (lo, P) if P**b >= target else (P, hi)
         return hi
 
-    def tail_ok(self, P: int) -> bool:
-        """P >= x^tail_exponent, for P >= 1."""
-        return P >= self.tail_bound
-
 
 def default_epsilon(d: int) -> float:
     """The choice 1/(1000 log(2d))."""

@@ -1,19 +1,21 @@
 """The ramification core: root counting mod squarefree m, CRT root
 lifting, the exact-divisor shift lemma, primitive witnesses, empirical
 verification of the supporting divisibility properties, greedy/generous
-classification and clique detection.
+classification and clique detection.  The single-m functions factor m
+and compute disc(F); the set pipeline and the checks of properties C and
+D take F, disc(F) and the primes of P_F from the sieve instead.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .algebra import IntPoly, LemmaViolation, poly_discriminant
-from .factorization import factor_integer, is_prime, roots_mod_p
+from .factorization import factor_integer, roots_mod_p
 from .sieve import ChebotarevSieve, DiversityParams, MFElement
 
 # above this many root combinations, crt_root stops searching for the
@@ -51,14 +53,8 @@ def rho_F(F: IntPoly, m: int) -> int:
 
 
 def _root_table(F: IntPoly, primes: Iterable[int]) -> dict[int, list[int]]:
-    """roots_mod_p(F, p) for each distinct p, computed once; each p must
-    be prime."""
-    table = {}
-    for p in sorted(set(primes)):
-        if not is_prime(p):
-            raise PreconditionError(f"{p} is not prime")
-        table[p] = roots_mod_p(F, p)
-    return table
+    """roots_mod_p(F, p) for each of the distinct primes p."""
+    return {p: roots_mod_p(F, p) for p in primes}
 
 
 def exact_divides(m: int, value: int) -> bool:
@@ -133,7 +129,7 @@ def _shift(F: IntPoly, disc: int, primes: Sequence[int], m: int, n: int) -> int:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class WitnessRecord:
     """A squarefree m together with the witness n_m where m exactly
     divides F(n_m)."""
@@ -143,7 +139,6 @@ class WitnessRecord:
     n_m: int
     shift_l: int
     minimal_root: bool = True
-    greedy: Optional[bool] = None
 
     @property
     def omega(self) -> int:
@@ -154,8 +149,9 @@ def primitive_witness(F: IntPoly, m: int, k: Optional[int] = None, x: Optional[f
     """Build the canonical witness: minimal CRT root (remapped to m when
     zero), then the minimal exact-divisor shift.  Asserts the bound
     n_m <= m*(omega(m)+1), and n_m <= m*(k+2) <= x when the set
-    parameters are supplied.  Factors m once; for many m over one F,
-    witnesses_for_MF shares disc(F) and the roots mod each prime."""
+    parameters are supplied.  Factors m once; for a set of m over one F,
+    witnesses_for_MF takes disc(F) and the primes from the sieve and the
+    roots mod each prime once."""
     primes = _squarefree_primes(m)
     return _witness(F, poly_discriminant(F), primes, m, _root_table(F, primes), k, x)
 
@@ -191,20 +187,24 @@ def recheck_witness(F: IntPoly, rec: WitnessRecord) -> bool:
 
 
 def witnesses_for_MF(
-    F: IntPoly, mf: Sequence[MFElement], params: Optional[DiversityParams] = None
+    sieve: ChebotarevSieve, mf: Sequence[MFElement], params: Optional[DiversityParams] = None
 ) -> list[WitnessRecord]:
-    """primitive_witness for every element of the set, in order, without
-    factoring: each element's primes are taken as given (they must be
-    strictly increasing with product m), disc(F) is computed once and
-    roots_mod_p once per distinct prime of the set."""
+    """primitive_witness over the sieve's F for every element of the set,
+    in order, without factoring: each element's primes are taken as given
+    (strictly increasing with product m), each distinct one must be in
+    P_F, disc(F) is the sieve's, and roots_mod_p runs once per distinct
+    prime of the set."""
     for e in mf:
         if math.prod(e.primes) != e.m or any(a >= b for a, b in zip((1,) + e.primes, e.primes)):
             raise PreconditionError(f"{e.primes} is not the increasing prime list of m = {e.m}")
+    primes = sorted({p for e in mf for p in e.primes})
+    for p in primes:
+        if p not in sieve:
+            raise PreconditionError(f"{p} is not in P_F")
     k = params.k if params is not None else None
     x = params.x if params is not None else None
-    disc = poly_discriminant(F)
-    roots = _root_table(F, (p for e in mf for p in e.primes))
-    return [_witness(F, disc, e.primes, e.m, roots, k, x) for e in mf]
+    roots = _root_table(sieve.F, primes)
+    return [_witness(sieve.F, sieve.discriminant, e.primes, e.m, roots, k, x) for e in mf]
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +212,6 @@ def witnesses_for_MF(
 
 @dataclass(frozen=True)
 class PropertyCReport:
-    p: int
     checked: int
     violations: tuple[int, ...]  # the offending n values
 
@@ -221,140 +220,86 @@ class PropertyCReport:
 _C_TRIALS = 10
 
 
-def verify_property_C(F: IntPoly, p: int) -> PropertyCReport:
-    """For n with p^2 | F(n), check that p || F(n+p).  Candidate n are
-    produced by Hensel-lifting the simple roots of F mod p."""
-    disc = poly_discriminant(F)
-    if disc % p == 0:
-        raise PreconditionError(f"{p} divides disc(F)")
-    roots = roots_mod_p(F, p)
-    checked = 0
-    violations = []
-    dF = F.derivative()
-    p2 = p * p
-    for r in roots:
-        fp = dF(r) % p
-        # simple root (guaranteed since p does not divide disc)
-        lift = (r - F(r) * pow(fp, -1, p)) % p2
-        for j in range(_C_TRIALS):
-            n = lift + j * p2
-            if n == 0 or checked >= _C_TRIALS:
-                continue
-            if F(n) % p2 != 0:
-                raise LemmaViolation(f"Hensel lift {n} of root {r} mod {p} is not a root mod {p2}")
-            checked += 1
-            if not exact_divides(p, F(n + p)):
-                violations.append(n)
-        if checked >= _C_TRIALS:
-            break
-    return PropertyCReport(p=p, checked=checked, violations=tuple(violations))
+def verify_property_C(sieve: ChebotarevSieve, p: int) -> PropertyCReport:
+    """For n with p^2 | F(n), check that p || F(n+p), for p in P_F.  The
+    candidates are the first _C_TRIALS positive n among the Hensel lifts
+    of the roots of F mod p, all simple since p does not divide disc(F),
+    and their translates by p^2, root by root."""
+    if p not in sieve:
+        raise PreconditionError(f"{p} is not in P_F")
+    F, dF, p2 = sieve.F, sieve.F.derivative(), p * p
+    lifts = [(r - F(r) * pow(dF(r) % p, -1, p)) % p2 for r in roots_mod_p(F, p)]
+    candidates = [n for lift in lifts for n in range(lift, lift + _C_TRIALS * p2, p2) if n > 0][:_C_TRIALS]
+    for n in candidates:
+        if F(n) % p2 != 0:
+            raise LemmaViolation(f"Hensel lift {n} of a root mod {p} is not a root mod {p2}")
+    return PropertyCReport(
+        checked=len(candidates),
+        violations=tuple(n for n in candidates if not exact_divides(p, F(n + p))),
+    )
 
 
-@dataclass(frozen=True)
-class PropertyDReport:
-    checked: int
-    failures: tuple[int, ...]  # primes with no n <= 2p such that p || F(n)
-
-
-def verify_property_D(sieve: ChebotarevSieve) -> PropertyDReport:
-    """For each prime in the sieve, find n <= 2p with p || F(n).
-    Failing primes are listed in the report, not raised; `divlab verify`
-    counts any as a hard failure (exit 3)."""
+def verify_property_D(sieve: ChebotarevSieve) -> tuple[int, ...]:
+    """The primes p of P_F with no n <= 2p such that p || F(n).  They are
+    returned, not raised; `divlab verify` counts any as a hard failure
+    (exit 3)."""
     F = sieve.F
     failures = []
     for p in sieve.primes_in_PF:
-        found = False
-        for r in roots_mod_p(F, p):
-            candidates = (r, r + p) if r > 0 else (p, 2 * p)
-            for n in candidates:
-                if n <= 2 * p and exact_divides(p, F(n)):
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
+        # the candidates n <= 2p: the least positive n at each root mod p,
+        # and n + p
+        least = [r or p for r in roots_mod_p(F, p)]
+        if not any(exact_divides(p, F(n + j * p)) for n in least for j in (0, 1)):
             failures.append(p)
-    return PropertyDReport(checked=len(sieve.primes_in_PF), failures=tuple(failures))
+    return tuple(failures)
 
 
 @dataclass(frozen=True)
 class PropertyEReport:
-    d: int
-    n_range: tuple[int, int]
-    violations: tuple[tuple[int, int], ...]  # (n, count) with count > d
-    indeterminate: tuple[int, ...]
-    threshold: int  # smallest n0 such that no violation occurs at n >= n0
+    # (n, count) with count > deg F primes >= n/4 dividing F(n)
+    violations: tuple[tuple[int, int], ...]  # ruled out by the size of F(n)
+    exceptions: tuple[tuple[int, int], ...]  # allowed by the size of F(n)
+    indeterminate: tuple[int, ...]  # an unsplit cofactor >= n/4 is left
 
 
 def verify_property_E(F: IntPoly, n_lo: int, n_hi: int, effort: int = 200_000) -> PropertyEReport:
-    """Count the prime divisors of F(n) that are >= n/4; above a small-n
-    threshold there should be at most deg(F) of them."""
+    """Count the prime divisors of F(n) that are >= n/4; once n is large,
+    at most d = deg F of them.  More than d such primes force
+    |F(n)| >= (n/4)^(d+1), so a count above d where
+    4^(d+1)*|F(n)| < n^(d+1) is a violation, which only a factorization
+    fault can give; a count above d that the size allows is an
+    exception."""
     d = F.degree
     violations = []
+    exceptions = []
     indeterminate = []
     for n in range(n_lo, n_hi + 1):
         v = F(n)
         if v == 0:
             continue
-        fact = factor_integer(v, trial_bound=1000, effort=effort)
-        count = sum(1 for p in fact.primes if 4 * p >= n)
+        fact = factor_integer(v, effort=effort)
         if not fact.complete and 4 * fact.cofactor >= n:
             indeterminate.append(n)
             continue
+        count = sum(1 for p in fact.primes if 4 * p >= n)
         if count > d:
-            violations.append((n, count))
-    threshold = n_lo
-    if violations:
-        threshold = max(n for n, _ in violations) + 1
+            ruled_out = 4 ** (d + 1) * abs(v) < n ** (d + 1)
+            (violations if ruled_out else exceptions).append((n, count))
     return PropertyEReport(
-        d=d,
-        n_range=(n_lo, n_hi),
         violations=tuple(violations),
+        exceptions=tuple(exceptions),
         indeterminate=tuple(indeterminate),
-        threshold=threshold,
     )
 
 
 # ---------------------------------------------------------------------------
 # greedy/generous classification and cliques
 
-@dataclass(frozen=True)
-class GreedyStats:
-    greedy: int
-    generous: int
-    distinct_witnesses: int
-    total: int
-    d: int
-
-    @property
-    def witness_ratio(self) -> float:
-        """|{n_m}| * 12d / |MF|, compared to the asymptotic benchmark 1."""
-        if self.total == 0:
-            return math.inf
-        return self.distinct_witnesses * 12 * self.d / self.total
-
-
-def classify_greedy(witnesses: Iterable[WitnessRecord], d: int) -> GreedyStats:
-    """Mark each record greedy or generous: generous means at least 6d
-    other elements share the same witness."""
-    recs = list(witnesses)
-    groups: dict[int, int] = defaultdict(int)
-    for r in recs:
-        groups[r.n_m] += 1
-    greedy = generous = 0
-    for r in recs:
-        r.greedy = groups[r.n_m] < 6 * d + 1
-        if r.greedy:
-            greedy += 1
-        else:
-            generous += 1
-    return GreedyStats(
-        greedy=greedy,
-        generous=generous,
-        distinct_witnesses=len(groups),
-        total=len(recs),
-        d=d,
-    )
+def classify_greedy(witnesses: Sequence[WitnessRecord], d: int) -> list[bool]:
+    """Whether each record is greedy, in order: greedy when fewer than 6d
+    other records share its witness n_m, generous when at least 6d do."""
+    shared = Counter(w.n_m for w in witnesses)
+    return [shared[w.n_m] <= 6 * d for w in witnesses]
 
 
 @dataclass(frozen=True)

@@ -71,7 +71,7 @@ def brute_force_MF(sieve, params):
             continue
         if primes[0] < params.y:
             continue
-        if not params.tail_ok(primes[-1]):
+        if primes[-1] < params.tail_bound:
             continue
         out.append(m)
     return out

@@ -113,7 +113,7 @@ def test_criterion_05_witness_bound():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             mf = enumerate_MF(sieve, params)
-        for rec in witnesses_for_MF(F, mf, params):
+        for rec in witnesses_for_MF(sieve, mf, params):
             total += 1
             if not (rec.n_m <= rec.m * (rec.omega + 1) and recheck_witness(F, rec)):
                 bad += 1
@@ -197,29 +197,28 @@ def test_criterion_08_mf_enumeration_oracle():
 
 def test_criterion_09_properties_CDE():
     """Properties C, D, E for F in {T, T^2+1, T^3-3T^2+2T} with
-    n, p <= 10^4: zero violations above the small thresholds, exception
-    lists below the cap of 20."""
+    n, p <= 10^4: no C violation, no E count that the size of F(n)
+    rules out, and D failures and E exceptions below the cap of 20."""
     details = []
     ok = True
     for F in (T, T2P1, CUBIC):
         sieve = build_PF(F, 10**4)
         c_viol = 0
         for p in sieve.primes_in_PF:
-            c_viol += len(verify_property_C(F, p).violations)
-        d_rep = verify_property_D(sieve)
+            c_viol += len(verify_property_C(sieve, p).violations)
+        d_fail = verify_property_D(sieve)
         e_rep = verify_property_E(F, 1, 10**4)
-        e_above = [n for n, _ in e_rep.violations if n >= e_rep.threshold]
         this_ok = (
             c_viol == 0
-            and len(d_rep.failures) < EXCEPTION_CAP
-            and not e_above
-            and len(e_rep.violations) < EXCEPTION_CAP
+            and len(d_fail) < EXCEPTION_CAP
+            and not e_rep.violations
+            and len(e_rep.exceptions) < EXCEPTION_CAP
             and not e_rep.indeterminate
         )
         ok = ok and this_ok
         details.append(
-            f"{F}: C={c_viol} D={len(d_rep.failures)} "
-            f"E={len(e_rep.violations)}(thr {e_rep.threshold})"
+            f"{F}: C={c_viol} D={len(d_fail)} "
+            f"E={len(e_rep.violations)} (+{len(e_rep.exceptions)} allowed by size)"
         )
     report(9, ok, "; ".join(details))
 

@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 from conftest import fresh_cli_run
 
+import divlab.algebra
 import divlab.diversity
+import divlab.factorization
 import divlab.sieve
 import divlab.witnesses
 from divlab.cli import ConfigError, RunConfig, build_parser, load_config, main, merge_flags
@@ -631,7 +633,8 @@ class TestVerifyCommand:
         assert out == (
             "exact-division after shift by p (first 50 primes): 0 violations: pass\n"
             "small witness per prime: 1229 primes, 0 failures: pass\n"
-            "large-prime-divisor count (n in [100, 2000]): 0 above-threshold, 0 indeterminate: pass\n"
+            "large-prime-divisor count (n in [100, 2000]): 0 above-threshold, 0 allowed by size, "
+            "0 indeterminate: pass\n"
             "witness re-check: 200 witnesses, 0 failures: pass\n"
             "all suites passed\n"
         )
@@ -648,11 +651,51 @@ class TestVerifyCommand:
         monkeypatch.setattr(divlab.witnesses, "verify_property_E", with_violation)
         code, out, _ = run(capsys, "verify", "--cover", "u^2 - t")
         assert code == 3
-        assert "1 above-threshold, 0 indeterminate: FAIL" in out
+        assert "1 above-threshold, 0 allowed by size, 0 indeterminate: FAIL" in out
         assert "1 hard failure(s)" in out
+
+    def test_counts_the_size_allows_pass(self, capsys):
+        # F = 27T^2 + 256T: F(269) = 269 * 73 * 103 has three primes
+        # >= 269/4 against d = 2, which |F(269)| >= (269/4)^3 allows
+        code, out, _ = run(capsys, "verify", "--cover", "u^4 - t*u - t")
+        assert code == 0
+        assert ("large-prime-divisor count (n in [100, 2000]): 0 above-threshold, "
+                "1 allowed by size, 0 indeterminate: pass\n") in out
 
     def test_cubic_family(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--cover", "u^2 - t^3 + 3*t^2 - 2*t"
         )
         assert code == 0
+
+
+def count_calls(monkeypatch, owner, name):
+    """Calls to owner.name through every other divlab layer's binding of
+    it; the owner's own calls are not counted."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for layer in ("algebra", "factorization", "sieve", "witnesses", "diversity", "cli"):
+        module = importlib.import_module(f"divlab.{layer}")
+        if module is not owner and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("argv", [
+    ("witness", *WITNESS_ARGS),
+    ("verify", "--cover", "u^3 - t*u - t"),
+])
+def test_one_discriminant_and_no_prime_proof_per_run(tmp_path, capsys, monkeypatch, argv):
+    # the sieve computes disc(F) and proves P_F; the witnesses and every
+    # check take both from it
+    discriminants = count_calls(monkeypatch, divlab.algebra, "poly_discriminant")
+    primality = count_calls(monkeypatch, divlab.factorization, "is_prime")
+    out_dir = ("--out", str(tmp_path)) if argv[0] == "witness" else ()
+    code, out, _ = run(capsys, *argv, *out_dir)
+    assert code == 0 and "|M_F(x)| = 0 " not in out
+    assert (len(discriminants), len(primality)) == (1, 0)

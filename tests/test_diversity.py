@@ -27,7 +27,7 @@ from divlab.diversity import (
     is_fiber_irreducible,
     run_census,
 )
-from divlab.factorization import factor_integer, factor_over_Z, is_irreducible_mod_p
+from divlab.factorization import TRIAL_BOUND, factor_integer, factor_over_Z, is_irreducible_mod_p
 from divlab.sieve import default_epsilon
 
 SQRT_COVER = parse_cover("u^2 - t")
@@ -543,7 +543,7 @@ class TestLinearSieve:
         sieve = diversity.prime_sieve
         monkeypatch.setattr(diversity, "prime_sieve", lambda limit: limits.append(limit) or sieve(limit))
         census = run_census(cover, 12, effort=effort, delta=1.0)
-        assert limits == [diversity._TRIAL_BOUND]
+        assert limits == [TRIAL_BOUND]
         assert [row.fingerprint for row in census.per_n] == [fingerprint(fiber_poly(cover, n), effort)
                                                              for n in range(1, 13)]
 

@@ -494,7 +494,7 @@ class TestFactorInteger:
         # product of two ~40-digit primes: rho budget cannot split it
         p = 2**89 - 1
         q = 2**107 - 1
-        fact = factor_integer(p * q, trial_bound=1000, effort=1000)
+        fact = factor_integer(p * q, effort=1000)
         assert reassemble(fact) == p * q
         if not fact.complete:
             assert fact.cofactor > 1 and not sympy.isprime(fact.cofactor)

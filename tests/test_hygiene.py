@@ -3,10 +3,10 @@ in it, every top-level function or class is referenced somewhere in the
 package other than its own body (a public one may instead be exported or
 traced by the benchmark), every name the package exports or
 the benchmark's tracer rebinds exists, `import divlab.cli` loads no
-layer but algebra, no package module reads the
-process environment or holds an `assert` statement, and the CLI's table
-of the keys each run reads covers every key and every run and matches
-README's.
+layer but algebra, no package module reads the process environment or
+holds an `assert` statement, every package dataclass is frozen, and the
+CLI's table of the keys each run reads covers every key and every run
+and matches README's.
 
 Stdlib only.  The package's __init__.py is exempt from the import check,
 since its imports are re-exports.
@@ -175,6 +175,46 @@ def test_assert_detector():
         "    assert (asserted, 'always true')\n"
     )
     assert assert_statements(source) == ["line 1", "line 5"]
+
+
+def unfrozen_dataclasses(source: str) -> list[str]:
+    """The classes the source decorates with `dataclass` without
+    `frozen=True`."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for dec in node.decorator_list:
+            call = dec if isinstance(dec, ast.Call) else None
+            target = call.func if call else dec
+            if getattr(target, "id", getattr(target, "attr", None)) != "dataclass":
+                continue
+            keywords = {kw.arg: kw.value for kw in call.keywords} if call else {}
+            frozen = keywords.get("frozen")
+            if not (isinstance(frozen, ast.Constant) and frozen.value is True):
+                out.append(f"line {node.lineno}: {node.name}")
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_dataclass_is_frozen(path):
+    # records are built once and passed along; a changed field is a new
+    # record made by dataclasses.replace
+    assert unfrozen_dataclasses(path.read_text(encoding="utf-8")) == []
+
+
+def test_frozen_detector():
+    source = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "@dataclass\nclass A:\n    x: int\n"
+        "@dataclass(order=True)\nclass B:\n    x: int\n"
+        "@dataclasses.dataclass(frozen=False)\nclass C:\n    x: int\n"
+        "@dataclass(frozen=True)\nclass D:\n    x: int\n"
+        "@dataclasses.dataclass(frozen=True)\nclass E:\n    x: int\n"
+        "class F:\n    pass\n"
+    )
+    assert unfrozen_dataclasses(source) == ["line 4: A", "line 7: B", "line 10: C"]
 
 
 def traced_names() -> list[str]:

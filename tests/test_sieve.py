@@ -46,7 +46,7 @@ def check_MF_membership(m, sieve, params):
         return False
     if primes[0] < params.y:
         return False
-    if not params.tail_ok(primes[-1]):
+    if primes[-1] < params.tail_bound:
         return False
     return params.lo_int <= m <= params.hi_int
 
@@ -188,9 +188,7 @@ class TestDiversityParams:
             x=10**4, k=1, y=2, window_lo=10, window_hi=20,
             tail_exponent=Fraction(1, 2),
         )
-        assert p.tail_ok(100)      # 100^2 == 10^4
-        assert not p.tail_ok(99)
-        assert p.tail_bound == 100
+        assert p.tail_bound == 100  # 100^2 == 10^4
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -208,7 +206,7 @@ class TestDiversityParams:
         bound = p.tail_bound
         assert bound == 1 or (bound - 1) ** b < round(x) ** a <= bound**b
         for P in {1, 2, *range(max(1, bound - 2), bound + 3)}:
-            assert p.tail_ok(P) == (P**b >= round(x) ** a)
+            assert (P >= bound) == (P**b >= round(x) ** a)
 
     def test_tail_with_a_large_denominator_is_fast(self):
         # the tail bound is computed once, not as P**100000 per prime

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -12,6 +13,7 @@ from divlab.sieve import DiversityParams, MFElement, build_PF, enumerate_MF
 from divlab.witnesses import (
     NoRootError,
     PreconditionError,
+    WitnessRecord,
     classify_greedy,
     crt_root,
     exact_divides,
@@ -133,8 +135,7 @@ class TestPrimitiveWitness:
             assert recheck_witness(T2P1, rec)
         # a corrupted record must fail
         rec = primitive_witness(T2P1, 65)
-        rec.n_m += 1
-        assert not recheck_witness(T2P1, rec)
+        assert not recheck_witness(T2P1, dataclasses.replace(rec, n_m=rec.n_m + 1))
 
     def test_unit_m(self):
         # m = 1 has no prime factor; the shift search succeeds at l = 0
@@ -143,11 +144,15 @@ class TestPrimitiveWitness:
         assert (rec.primes, rec.n_m, rec.shift_l) == ((), 1, 0)
 
     def test_inconsistent_element_rejected(self):
-        # the last two are increasing with product m, but hold a composite
+        # the last four are increasing with product m, but hold a composite
+        # or a prime outside P_F: 3 has no root of T^2 + 1, 2 divides -4,
+        # and 1013 lies past the sieve
+        sieve = build_PF(T2P1, 1000)
         for bad in (MFElement(65, (13, 5)), MFElement(66, (5, 13)), MFElement(25, (5, 5)),
-                    MFElement(65, (1, 65)), MFElement(65, (65,)), MFElement(1105, (5, 221))):
+                    MFElement(65, (1, 65)), MFElement(65, (65,)), MFElement(1105, (5, 221)),
+                    MFElement(15, (3, 5)), MFElement(10, (2, 5)), MFElement(5065, (5, 1013))):
             with pytest.raises(PreconditionError):
-                witnesses_for_MF(T2P1, [bad])
+                witnesses_for_MF(sieve, [bad])
 
     @pytest.mark.parametrize("F", [T2P1, CUBIC], ids=["T2P1", "CUBIC"])
     def test_set_pipeline_agrees_with_single_witness(self, F):
@@ -155,11 +160,13 @@ class TestPrimitiveWitness:
         params = DiversityParams(
             x=x, k=2, y=5, window_lo=x / 16, window_hi=x / 4
         )
-        mf = enumerate_MF(build_PF(F, x), params)
+        sieve = build_PF(F, x)
+        mf = enumerate_MF(sieve, params)
         assert len(mf) > 50
-        assert witnesses_for_MF(F, mf) == [primitive_witness(F, e.m) for e in mf]
+        assert witnesses_for_MF(sieve, mf) == [primitive_witness(F, e.m) for e in mf]
 
     def test_set_pipeline_never_factors(self, monkeypatch):
+        # nor computes disc(F), which the sieve holds
         import divlab.witnesses as W
 
         def recorded(fn, log):
@@ -173,14 +180,15 @@ class TestPrimitiveWitness:
         params = DiversityParams(
             x=x, k=2, y=5, window_lo=x / 16, window_hi=x / 4
         )
-        mf = enumerate_MF(build_PF(T2P1, x), params)
+        sieve = build_PF(T2P1, x)
+        mf = enumerate_MF(sieve, params)
         calls = {"factor_integer": [], "poly_discriminant": [], "roots_mod_p": []}
         for name, log in calls.items():
             monkeypatch.setattr(W, name, recorded(getattr(W, name), log))
-        recs = witnesses_for_MF(T2P1, mf, params)
+        recs = witnesses_for_MF(sieve, mf, params)
         assert len(recs) == len(mf) > 50
         assert calls["factor_integer"] == []
-        assert len(calls["poly_discriminant"]) == 1
+        assert calls["poly_discriminant"] == []
         assert sorted(p for _, p in calls["roots_mod_p"]) == sorted({p for e in mf for p in e.primes})
 
     def test_mf_bound_with_params(self, small_PF_quadratic):
@@ -188,23 +196,30 @@ class TestPrimitiveWitness:
             x=1000, k=1, y=5, window_lo=50, window_hi=100, tail_exponent=None
         )
         mf = [MFElement(65, (5, 13)), MFElement(85, (5, 17))]
-        recs = witnesses_for_MF(T2P1, mf, params)
+        recs = witnesses_for_MF(small_PF_quadratic, mf, params)
         for rec in recs:
             assert rec.n_m <= rec.m * (params.k + 2) <= params.x
 
 
 class TestPropertyC:
     def test_identity_small(self):
-        rep = verify_property_C(T, 3)
+        rep = verify_property_C(build_PF(T, 10), 3)
         assert rep.checked >= 1 and rep.violations == ()
 
     def test_gaussian_five(self):
-        rep = verify_property_C(T2P1, 5)
+        rep = verify_property_C(build_PF(T2P1, 10), 5)
         assert rep.violations == ()
 
     def test_rejects_discriminant_prime(self):
         with pytest.raises(PreconditionError):
-            verify_property_C(T2P1, 2)
+            verify_property_C(build_PF(T2P1, 10), 2)
+
+    def test_rejects_primes_outside_P_F(self):
+        # 3 has no root of T^2 + 1, 9 is not prime, 13 lies past the sieve
+        sieve = build_PF(T2P1, 10)
+        for p in (3, 9, 13):
+            with pytest.raises(PreconditionError):
+                verify_property_C(sieve, p)
 
     def test_hand_instance(self):
         # 25 | F(7) = 50 and F(12) = 145 = 5 * 29 is exactly divisible
@@ -215,31 +230,39 @@ class TestPropertyC:
 class TestPropertyD:
     def test_gaussian_examples(self):
         sieve = build_PF(T2P1, 100)
-        rep = verify_property_D(sieve)
-        assert rep.failures == ()
+        assert verify_property_D(sieve) == ()
         assert exact_divides(5, T2P1(2))
         assert exact_divides(13, T2P1(5))
 
     def test_identity_trivial(self):
         sieve = build_PF(T, 300)
-        assert verify_property_D(sieve).failures == ()
+        assert verify_property_D(sieve) == ()
 
 
 class TestPropertyE:
     def test_identity_sweep(self):
         rep = verify_property_E(T, 1, 10**4)
-        assert all(n < 64 for n, _ in rep.violations)
+        assert rep.violations == ()
+        assert all(n < 64 for n, _ in rep.exceptions)
         assert rep.indeterminate == ()
 
     def test_gaussian_sweep(self):
         rep = verify_property_E(T2P1, 1, 1000)
-        assert rep.threshold <= 16
-        assert all(n < 16 for n, _ in rep.violations)
+        assert rep.violations == ()
+        assert all(n < 16 for n, _ in rep.exceptions)
+
+    def test_count_the_size_allows_is_an_exception(self):
+        # the critical polynomial of u^4 - t*u - t: F(269) = 269 * 73 * 103,
+        # three primes >= 269/4 against d = 2, and 4^3 * F(269) >= 269^3
+        F = IntPoly.of([0, 256, 27])
+        assert F(269) == 269 * 73 * 103
+        rep = verify_property_E(F, 269, 269)
+        assert (rep.violations, rep.exceptions) == ((), ((269, 3),))
 
     def test_hand_count(self):
         # F(7) = 50: primes 2, 5 are both >= 7/4, count = 2 = d
         rep = verify_property_E(T2P1, 7, 7)
-        assert rep.violations == ()
+        assert rep.violations == rep.exceptions == ()
 
     def test_naive_cross_check(self):
         import sympy
@@ -253,29 +276,25 @@ class TestPropertyE:
                 continue
             rep = verify_property_E(F, n, n)
             naive = sum(1 for p in sympy.factorint(abs(v)) if 4 * p >= n)
-            flagged = bool(rep.violations)
+            flagged = bool(rep.violations or rep.exceptions)
             assert flagged == (naive > 2)
 
 
 class TestGreedy:
     def test_all_distinct(self):
         recs = [primitive_witness(T2P1, m) for m in (5, 13, 17, 29)]
-        stats = classify_greedy(recs, d=1)
-        assert stats.generous == 0 and stats.greedy == 4
-        assert stats.witness_ratio == pytest.approx(12.0)
+        assert classify_greedy(recs, d=1) == [True] * 4
 
     def test_threshold_boundary(self):
-        from divlab.witnesses import WitnessRecord
-
-        recs = [WitnessRecord(m=5, primes=(5,), n_m=7, shift_l=0) for _ in range(7)]
-        stats = classify_greedy(recs, d=1)
-        assert stats.generous == 7 and stats.greedy == 0
+        # with d = 1, a witness shared by 7 records leaves each 6 = 6d others
+        six_others = [WitnessRecord(m=5, primes=(5,), n_m=7, shift_l=0) for _ in range(7)]
+        assert classify_greedy(six_others, d=1) == [False] * 7
+        assert classify_greedy(six_others[:6], d=1) == [True] * 6
 
     def test_override_pair(self):
-        recs = witnesses_for_MF(T2P1, [MFElement(65, (5, 13)), MFElement(85, (5, 17))])
+        recs = witnesses_for_MF(build_PF(T2P1, 100), [MFElement(65, (5, 13)), MFElement(85, (5, 17))])
         assert [r.n_m for r in recs] == [8, 13]
-        stats = classify_greedy(recs, d=2)
-        assert stats.greedy == 2 and all(r.greedy for r in recs)
+        assert classify_greedy(recs, d=2) == [True, True]
 
 
 class TestCliques:
