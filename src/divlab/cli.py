@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 config error, 2 mathematical degeneracy,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import os
@@ -17,7 +18,7 @@ import sys
 import warnings
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from .algebra import (
     AlgebraError,
@@ -235,11 +236,18 @@ def _sieve_and_params(cfg: RunConfig, F: IntPoly) -> tuple[ChebotarevSieve, Dive
     return sieve, params
 
 
-def _write_csv(path: str, header: list[str], rows: Iterable[Sequence]) -> None:
+@contextlib.contextmanager
+def _csv_writer(path: str, header: list[str]) -> Iterator:
+    """A csv writer on a new file at path, its header row written."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
+        yield w
+
+
+def _write_csv(path: str, header: list[str], rows: Iterable[Sequence]) -> None:
+    with _csv_writer(path, header) as w:
         w.writerows(rows)
 
 
@@ -333,21 +341,22 @@ def cmd_diversity(cfg: RunConfig) -> int:
     cover = _load_cover(cfg)
     _require(cfg, "N")
     census = run_census(cover, cfg.N, effort=cfg.budget, delta=cfg.delta, workers=cfg.workers)
-    rows = (
-        [
-            r.n,
-            r.fiber_degree,
-            "" if r.irreducible is None else str(r.irreducible).lower(),
-            r.fingerprint.render() if r.fingerprint is not None else "",
-            str(r.new_field).lower(),
-        ]
-        for r in census.per_n
-    )
     path = os.path.join(cfg.out, "census.csv")
-    _write_csv(path, ["n", "fiber_degree", "irreducible", "fingerprint", "new_field"], rows)
+    distinct = reducible = 0
+    with _csv_writer(path, ["n", "fiber_degree", "irreducible", "fingerprint", "new_field"]) as w:
+        for r in census.rows:  # each row is written as its fiber is decided
+            distinct += r.new_field
+            reducible += r.irreducible is False
+            w.writerow([
+                r.n,
+                r.fiber_degree,
+                "" if r.irreducible is None else str(r.irreducible).lower(),
+                r.fingerprint.render() if r.fingerprint is not None else "",
+                str(r.new_field).lower(),
+            ])
     print(f"N = {census.N}")
-    print(f"distinct_lower_bound = {census.distinct_lower_bound}")
-    print(f"reducible_count = {census.reducible_count}")
+    print(f"distinct_lower_bound = {distinct}")
+    print(f"reducible_count = {reducible}")
     print(f"eta = {census.eta:.6g}")
     print(f"N_over_logN = {census.n_over_log_n:.3f}")
     print(f"bound_value = {census.bound_value:.3f}")

@@ -6,9 +6,10 @@ N/(log N)^(1-eta) benchmark.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -66,21 +67,23 @@ def _residue_tables(cover: CurveCover) -> dict[int, list[bool]]:
     of full degree (c divides lc_u(n), so p does not divide c), and
     hence irreducible over Q.  The lc test comes first: where lc_u(r) = 0
     the specialization drops degree, and a lower-degree polynomial that
-    is irreducible mod p says nothing about the fibers n = r mod p."""
+    is irreducible mod p says nothing about the fibers n = r mod p.
+    Degree <= 2 builds no table: degree and disc decide."""
+    if cover.nu < 3:
+        return {}
     return {p: [cover.lc_u(r) % p != 0 and is_irreducible_mod_p(cover.at_t(r), p) for r in range(p)]
             for p in _TABLE_PRIMES}
 
 
-def _certified(cover: CurveCover, ns: range) -> list[bool]:
-    """For each n in ns, whether a residue table certifies g(n, u)
-    irreducible.  Degree <= 2 builds no table: degree and disc decide."""
+def _certified(tables: dict[int, list[bool]], ns: range) -> list[bool]:
+    """For each n in ns, whether one of the residue tables (see
+    _residue_tables) certifies g(n, u) irreducible."""
     certified = [False] * len(ns)
-    if cover.nu >= 3:
-        for p, table in _residue_tables(cover).items():
-            for r in range(p):
-                if table[r]:
-                    start = (r - ns[0]) % p
-                    certified[start::p] = [True] * len(range(start, len(ns), p))
+    for p, table in tables.items():
+        for r in range(p):
+            if table[r]:
+                start = (r - ns[0]) % p
+                certified[start::p] = [True] * len(range(start, len(ns), p))
     return certified
 
 
@@ -152,12 +155,17 @@ class CensusRow:
 
 @dataclass(frozen=True)
 class DiversityCensus:
+    """The census of the fibers n = 1..N.  eta is fixed before the walk;
+    rows is an iterator that decides each fiber as it is read, in n
+    order, and can be read once: tuple(census.rows) holds them all.
+    Above one worker, its pool lives until the rows are all read, or
+    until census.rows.close().  distinct_lower_bound is the number of
+    rows with new_field, and reducible_count the number with irreducible
+    False."""
+
     N: int
-    per_n: tuple[CensusRow, ...]
-    distinct_lower_bound: int
-    reducible_count: int
-    skipped: tuple[int, ...]
     eta: float
+    rows: Iterator[CensusRow]
 
     @property
     def n_over_log_n(self) -> float:
@@ -168,27 +176,43 @@ class DiversityCensus:
         return self.N / math.log(self.N) ** (1.0 - self.eta)
 
 
+# fibers per block: the walk sieves, certifies and maps one block at a time
+_CENSUS_BLOCK = 2048
 # fibers per task when the census runs on worker processes
 _CENSUS_CHUNK = 25
 
+# a linear factor of D as the sieve runs it: (a*t + b, limit, ((p, -b/a mod p), ...))
+_LinearSieve = tuple[IntPoly, int, tuple[tuple[int, int], ...]]
 
-def _sieved_primes(known: tuple[int, ...], linear: tuple[IntPoly, ...], ns: range) -> list[list[int]]:
-    """For each n in ns, the known primes plus the primes of a*n + b for
-    each primitive a*t + b (a > 0) in linear, found by sieving ns: a prime
-    p <= limit = min(isqrt(max |a*n + b|), TRIAL_BOUND), p not dividing a,
-    divides exactly the a*n + b with n = -b/a mod p.  What is left of
-    |a*n + b| above 1 is prime below (limit + 1)^2, else it stays in the
-    discriminant for factor_integer.  A zero a*n + b gets nothing: that
-    fiber's discriminant is zero, so it is reducible."""
-    found = [list(known) for _ in ns]
+
+def _linear_sieves(linear: Iterable[IntPoly], N: int) -> tuple[_LinearSieve, ...]:
+    """For each primitive a*t + b (a > 0) in linear, what _sieved_primes
+    needs to sieve its values at n = 1..N: limit = min(isqrt(max |a*n + b|),
+    TRIAL_BOUND), where the max is at n = 1 or n = N, and the root -b/a
+    mod p of each prime p <= limit that does not divide a.  Built once per
+    run, so every block of fibers is sieved with the same primes."""
+    sieves = []
     for h in linear:
         b, a = h.coeffs
+        limit = min(math.isqrt(max(abs(a + b), abs(a * N + b))), TRIAL_BOUND)
+        roots = tuple((p, -b * pow(a, -1, p) % p) for p in prime_sieve(max(2, limit)) if a % p)
+        sieves.append((h, limit, roots))
+    return tuple(sieves)
+
+
+def _sieved_primes(known: tuple[int, ...], sieves: tuple[_LinearSieve, ...], ns: range) -> list[list[int]]:
+    """For each n in ns, the known primes plus the primes of a*n + b for
+    each linear factor a*t + b in sieves (see _linear_sieves): a prime p of
+    its roots divides exactly the a*n + b with n = -b/a mod p.  What is
+    left of |a*n + b| above 1 is prime below (limit + 1)^2, else it stays
+    in the discriminant for factor_integer.  A zero a*n + b gets nothing:
+    that fiber's discriminant is zero, so it is reducible."""
+    found = [list(known) for _ in ns]
+    for h, limit, roots in sieves:
+        b, a = h.coeffs
         rest = [abs(a * n + b) for n in ns]
-        limit = min(math.isqrt(max(rest)), TRIAL_BOUND)
-        for p in prime_sieve(max(2, limit)):
-            if a % p == 0:
-                continue
-            for i in range((-b * pow(a, -1, p) - ns[0]) % p, len(ns), p):
+        for p, root in roots:
+            for i in range((root - ns[0]) % p, len(ns), p):
                 if rest[i]:
                     v, rem = divmod(rest[i], p)
                     if rem:
@@ -233,25 +257,61 @@ def _census_row(cover: CurveCover, D: IntPoly, effort: int, n: int, known: Seque
     return cover.nu, irr, _fingerprint(disc, known, effort) if irr else None
 
 
+def _walk(row: Callable, known: tuple[int, ...], sieves: tuple[_LinearSieve, ...],
+          tables: dict[int, list[bool]], N: int, workers: int) -> Iterator[CensusRow]:
+    """The rows of fibers 1..N in n order.  Each block of _CENSUS_BLOCK
+    fibers is sieved and certified, then mapped through row (on one pool
+    of worker processes for the whole run when workers > 1), and each
+    verdict is counted as it arrives: a complete fingerprint is new when
+    no complete one before it has its primes, a partial one only when no
+    fingerprint before it, complete or partial, has its known primes.
+    Only those primes are kept from fiber to fiber."""
+    complete_seen: set[tuple[int, ...]] = set()
+    partial_seen: set[tuple[int, ...]] = set()
+    with contextlib.ExitStack() as stack:
+        mapped: Callable = map
+        if workers > 1:
+            # imported here: the process pool's modules would add ~25 ms to
+            # every single-worker run's start-up
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            # per-fiber cost grows with n: small chunks pulled by whichever
+            # worker is free keep the workers evenly loaded
+            mapped = functools.partial(pool.map, chunksize=_CENSUS_CHUNK)
+        for lo in range(1, N + 1, _CENSUS_BLOCK):
+            ns = range(lo, min(lo + _CENSUS_BLOCK, N + 1))
+            # the loop holds the block's lists, so they are freed when it
+            # ends, before the next block is sieved
+            for n, (degree, irr, fp) in zip(ns, mapped(row, ns, _sieved_primes(known, sieves, ns),
+                                                       _certified(tables, ns))):
+                new = False
+                if irr:
+                    key = fp.odd_valuation_primes
+                    new = key not in complete_seen and (fp.complete or key not in partial_seen)
+                    (complete_seen if fp.complete else partial_seen).add(key)
+                yield CensusRow(n, degree, irr, fp, new)
+
+
 def run_census(cover: CurveCover, N: int, *, effort: int = 1_000_000, delta: Optional[float] = None,
                workers: int = 1) -> DiversityCensus:
-    """Walk n = 1..N: test irreducibility, fingerprint the irreducible
-    fibers, and count distinct fingerprints conservatively: a complete
-    fingerprint counts when no complete one before it has its primes, a
-    partial one only when no fingerprint before it, complete or partial,
-    has its known primes.  Each fact is computed once per run, before the
-    walk, in this process at any worker count: D = disc_u(g), whose value
+    """The census of n = 1..N: each fiber is tested for irreducibility,
+    and an irreducible one is fingerprinted and counted (see _walk).
+    The rows stream in n order as they are read, so memory is bounded by
+    the distinct fingerprints plus one block of fibers, not by N.
+    This call does everything that comes before the first fiber, in this
+    process at any worker count.  eta comes first, from F =
+    critical_polynomial(cover) and delta (measured on F, as delta_hat of
+    build_PF(F, 10^4), unless given), so a degenerate cover raises here.
+    Then each fact is computed once per run: D = disc_u(g), whose value
     at n gives fiber n's discriminant (see _census_row); D's factors
     over Z, so factor_integer sees only what the primes of its content
-    and linear factors leave (see _sieved_primes); and one residue table
+    and linear factors leave (see _linear_sieves); and one residue table
     per prime below 60, which certifies most fibers of degree >= 3
-    irreducible from n mod p alone (see _certified).
-    eta comes first, from F = critical_polynomial(cover) and delta
-    (measured on F, as delta_hat of build_PF(F, 10^4), unless given), so a
-    degenerate cover raises before any fiber is specialized.  effort
-    bounds factor_integer's rho on what the primes leave of each
-    discriminant, and workers > 1 runs the fibers on that many worker
-    processes, with the same rows."""
+    irreducible from n mod p alone (see _certified).  effort bounds
+    factor_integer's rho on what the primes leave of each discriminant,
+    and workers > 1 runs the fibers on that many worker processes, with
+    the same rows."""
     if N < 10:
         raise ValueError("census needs N >= 10")
     F = critical_polynomial(cover)
@@ -260,47 +320,7 @@ def run_census(cover: CurveCover, N: int, *, effort: int = 1_000_000, delta: Opt
     eta = eta_exponent(F.degree, delta)
     D = discriminant_in_u(cover)
     content, factors = factor_over_Z(D)
-    ns = range(1, N + 1)
     known = factor_integer(content, effort=effort).primes
-    primes = _sieved_primes(known, tuple(h for h, _ in factors if h.degree == 1), ns)
-    certified = _certified(cover, ns)
+    sieves = _linear_sieves((h for h, _ in factors if h.degree == 1), N)
     row = functools.partial(_census_row, cover, D, effort)
-    if workers <= 1:
-        verdicts = map(row, ns, primes, certified)
-    else:
-        # imported here: the process pool's modules would add ~25 ms to
-        # every single-worker run's start-up
-        from concurrent.futures import ProcessPoolExecutor
-
-        # per-fiber cost grows with n: small chunks pulled by whichever
-        # worker is free keep the workers evenly loaded
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            verdicts = list(pool.map(row, ns, primes, certified, chunksize=_CENSUS_CHUNK))
-
-    complete_seen: set[tuple[int, ...]] = set()
-    partial_seen: set[tuple[int, ...]] = set()
-    per_n: list[CensusRow] = []
-    distinct = 0
-    reducible = 0
-    skipped = []
-    for n, (degree, irr, fp) in zip(ns, verdicts):
-        new = False
-        if irr is None:
-            skipped.append(n)
-        elif not irr:
-            reducible += 1
-        else:
-            key = fp.odd_valuation_primes
-            new = key not in complete_seen and (fp.complete or key not in partial_seen)
-            (complete_seen if fp.complete else partial_seen).add(key)
-            distinct += new
-        per_n.append(CensusRow(n, degree, irr, fp, new))
-    return DiversityCensus(
-        N=N,
-        per_n=tuple(per_n),
-        distinct_lower_bound=distinct,
-        reducible_count=reducible,
-        skipped=tuple(skipped),
-        eta=eta,
-    )
-
+    return DiversityCensus(N=N, eta=eta, rows=_walk(row, known, sieves, _residue_tables(cover), N, workers))

@@ -32,8 +32,9 @@ def prime_sieve(limit: int) -> list[int]:
 
 @dataclass(frozen=True)
 class ChebotarevSieve:
-    """Primes up to `limit` where F has a root and which do not divide the
-    discriminant of F, with the measured density among all primes."""
+    """Primes up to `limit` where F has a root and which divide neither
+    the discriminant nor the content of F, with the measured density
+    among all primes."""
 
     F: IntPoly
     limit: int
@@ -51,15 +52,18 @@ class ChebotarevSieve:
 
 
 def build_PF(F: IntPoly, limit: int) -> ChebotarevSieve:
-    """Filter the primes up to limit by: p does not divide disc(F) and
-    F has a root mod p."""
+    """Filter the primes up to limit by: p divides neither disc(F) nor
+    the content of F, and F has a root mod p.  A prime of the content
+    divides disc(F) too once deg F >= 2; a linear F has disc 1, and F
+    vanishes identically mod such a p, so it has no roots mod p to list."""
     if F.degree < 1:
         raise AlgebraError("F must be non-constant")
     disc = poly_discriminant(F)
     if disc == 0:
         raise AlgebraError("F is not separable (zero discriminant)")
     primes = prime_sieve(limit)
-    kept = tuple(p for p in primes if disc % p != 0 and has_root_mod_p(F, p))
+    bad = disc * F.content()
+    kept = tuple(p for p in primes if bad % p != 0 and has_root_mod_p(F, p))
     return ChebotarevSieve(
         F=F, limit=limit, discriminant=disc, primes_in_PF=kept, total_primes=len(primes)
     )

@@ -44,6 +44,12 @@ def squarefree_kernel_table(N):
     return kernel
 
 
+def census_counts(rows):
+    """(distinct_lower_bound, reducible_count) of a census's rows, as the
+    CLI counts them: rows with new_field, rows with irreducible False."""
+    return sum(r.new_field for r in rows), sum(r.irreducible is False for r in rows)
+
+
 def shift_arg(f, c):
     """f(T + c) for the IntPoly f, by Horner's rule."""
     from divlab.algebra import IntPoly

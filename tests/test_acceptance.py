@@ -10,6 +10,7 @@ from fractions import Fraction
 
 from conftest import (
     brute_force_MF,
+    census_counts,
     root_count_suite,
     shift_arg,
     shift_lemma_suite,
@@ -53,20 +54,12 @@ def test_criterion_01_quadratic_census_exactness():
     oracle; reducible_count = 100; under 60 s single-threaded."""
     N = 10**4
     start = time.monotonic()
-    census = run_census(SQRT_COVER, N)
+    distinct, reducible = census_counts(tuple(run_census(SQRT_COVER, N).rows))
     elapsed = time.monotonic() - start
     kernel = squarefree_kernel_table(N)
     oracle = len({kernel[n] for n in range(1, N + 1) if math.isqrt(n) ** 2 != n})
-    ok = (
-        census.distinct_lower_bound == oracle
-        and census.reducible_count == 100
-        and elapsed < 60
-    )
-    report(
-        1, ok,
-        f"distinct {census.distinct_lower_bound} == oracle {oracle}, "
-        f"reducible {census.reducible_count}, {elapsed:.1f}s",
-    )
+    ok = distinct == oracle and reducible == 100 and elapsed < 60
+    report(1, ok, f"distinct {distinct} == oracle {oracle}, reducible {reducible}, {elapsed:.1f}s")
 
 
 def test_criterion_02_hilbert_bound_shape():
@@ -230,10 +223,10 @@ def test_criterion_10_trend_report():
     lines = []
     ok = True
     for N in (10**3, 10**4, 10**5):
-        census = run_census(SQRT_COVER, N)
-        ratio = census.distinct_lower_bound / N
+        distinct, _ = census_counts(tuple(run_census(SQRT_COVER, N).rows))
+        ratio = distinct / N
         bound = N / math.log(N) ** (1 - eta)
-        this_ok = ratio >= 0.6 and census.distinct_lower_bound > bound
+        this_ok = ratio >= 0.6 and distinct > bound
         ok = ok and this_ok
         lines.append(f"N={N}: {ratio:.3f} (bound {bound:.0f})")
     report(10, ok, "; ".join(lines))

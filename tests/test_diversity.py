@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 import sympy
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 import divlab.algebra as algebra
 import divlab.diversity as diversity
 import divlab.factorization as factorization
-from conftest import shift_arg, squarefree_kernel_table
+from conftest import census_counts, shift_arg, squarefree_kernel_table
 from divlab.algebra import (
     AlgebraError,
     CurveCover,
@@ -31,6 +32,7 @@ from divlab.factorization import TRIAL_BOUND, factor_integer, factor_over_Z, is_
 from divlab.sieve import default_epsilon
 
 SQRT_COVER = parse_cover("u^2 - t")
+BLOCK = diversity._CENSUS_BLOCK
 CUBIC_BASE = parse_cover("u^2 - t^3 + 3*t^2 - 2*t")
 
 u = sympy.Symbol("u")
@@ -47,7 +49,12 @@ def census_rows(cover, N):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(diversity, "_fingerprint", lambda *args: None)
         return [diversity._census_row(cover, D, 1, n, (), cert)
-                for n, cert in zip(ns, diversity._certified(cover, ns))]
+                for n, cert in zip(ns, certified_fibers(cover, ns))]
+
+
+def certified_fibers(cover, ns):
+    """The residue tables' verdicts for the fibers ns."""
+    return diversity._certified(diversity._residue_tables(cover), ns)
 
 
 def count_reducible_fibers(cover, N):
@@ -170,7 +177,7 @@ class TestFiberPipeline:
             mp.setattr(diversity, "_irreducible", checked)
             rows = census_rows(cover, 60)
         live = [n for n in range(1, 61) if cover.lc_u(n) != 0]
-        certified = diversity._certified(cover, range(1, 61))
+        certified = certified_fibers(cover, range(1, 61))
         assert discs == [poly_discriminant(fiber_poly(cover, n)) for n in live]
         assert reached == [fiber_poly(cover, n) for n in live if not certified[n - 1]]
         assert [degree for degree, _, _ in rows] == [cover.nu if n in live else -1 for n in range(1, 61)]
@@ -211,9 +218,9 @@ class TestFiberPipeline:
             monkeypatch.setattr(diversity, name, counted)
         for workers in (1, 2):
             algebra.discriminant_in_u.cache_clear()
-            census = run_census(cover, 2200, workers=workers)
-            assert len(census.per_n) == 2200 and census.skipped == ()
-            assert census.per_n[7].irreducible is False and census.reducible_count == 1
+            rows = tuple(run_census(cover, 2200, workers=workers).rows)
+            assert [r.n for r in rows] == list(range(1, 2201)) and None not in {r.irreducible for r in rows}
+            assert rows[7].irreducible is False and census_counts(rows)[1] == 1
             assert algebra.discriminant_in_u.cache_info().misses == 1
             # worker processes keep their own counts
             assert calls == {"fiber_poly": 3, "poly_discriminant": 0}
@@ -298,7 +305,9 @@ class TestResidueTables:
                                                   ("2*u^4 - t^2*u + 3", 130, 1, 438, 4)):
             calls.clear()
             factors.clear()
-            run_census(parse_cover(text), N, workers=workers, delta=1.0)
+            census = run_census(parse_cover(text), N, workers=workers, delta=1.0)
+            assert len(calls) == tests  # before the first row is read
+            tuple(census.rows)
             assert (len(calls), len(factors)) == (tests, factored)
 
     def test_the_fibers_no_table_certifies_are_factored_over_Z(self, monkeypatch):
@@ -308,7 +317,7 @@ class TestResidueTables:
         # the table for 11 cannot hold it
         cover = parse_cover("-t*u^3 + t^2*u + 2*t*u + t^2 + 2*t")
         uncertified = [6, 768, 1804]
-        certified = diversity._certified(cover, range(1, 2001))
+        certified = certified_fibers(cover, range(1, 2001))
         assert [n for n, cert in enumerate(certified, 1) if not cert] == uncertified
         assert [sympy_irreducible(fiber_poly(cover, n)) for n in uncertified] == [False, True, True]
         assert is_irreducible_mod_p(fiber_poly(cover, 1804), 11) and cover.lc_u(1804) == -1804
@@ -317,9 +326,9 @@ class TestResidueTables:
         monkeypatch.setattr(diversity, "factor_over_Z", lambda f: factors.append(f) or factor(f))
         for workers, fibers in ((1, uncertified), (2, [])):
             factors.clear()
-            census = run_census(cover, 2000, workers=workers, delta=1.0)
-            assert census.skipped == () and census.reducible_count == 1
-            assert [census.per_n[n - 1].irreducible for n in uncertified] == [False, True, True]
+            rows = tuple(run_census(cover, 2000, workers=workers, delta=1.0).rows)
+            assert None not in {r.irreducible for r in rows} and census_counts(rows)[1] == 1
+            assert [rows[n - 1].irreducible for n in uncertified] == [False, True, True]
             # worker processes keep their own calls
             assert factors == [discriminant_in_u(cover)] + [fiber_poly(cover, n) for n in fibers]
 
@@ -391,53 +400,82 @@ class TestEta:
 
 class TestCensus:
     def test_quadratic_hundred(self):
-        census = run_census(SQRT_COVER, 100)
-        assert census.reducible_count == 10
+        distinct, reducible = census_counts(tuple(run_census(SQRT_COVER, 100).rows))
+        assert reducible == 10
         kernel = squarefree_kernel_table(100)
         oracle = len({kernel[n] for n in range(1, 101)
                       if math.isqrt(n) ** 2 != n})
-        assert census.distinct_lower_bound == oracle == 60
+        assert distinct == oracle == 60
 
     def test_minimum_N(self):
         with pytest.raises(ValueError):
             run_census(SQRT_COVER, 5)
 
     def test_prefix_monotone(self):
-        small = run_census(SQRT_COVER, 120)
-        big = run_census(SQRT_COVER, 240)
-        assert big.per_n[:120] == small.per_n
-        assert big.distinct_lower_bound >= small.distinct_lower_bound
+        small = tuple(run_census(SQRT_COVER, 120).rows)
+        big = tuple(run_census(SQRT_COVER, 240).rows)
+        assert big[:120] == small
+        assert census_counts(big)[0] >= census_counts(small)[0]
 
-    def test_new_field_flags_sum(self):
+    def test_rows_stream_in_n_order(self):
         census = run_census(SQRT_COVER, 200)
-        assert sum(r.new_field for r in census.per_n) == census.distinct_lower_bound
+        assert census.N == 200 and next(census.rows).n == 1
+        assert [r.n for r in census.rows] == list(range(2, 201))
+        assert next(census.rows, None) is None  # read once
+
+    def test_memory_is_bounded_by_the_fields_not_by_N(self):
+        # u^3 - t: every fiber discriminant is -27*n^2, so every fingerprint
+        # is (3,) and one field is counted at any N.  Read without holding
+        # a row, the census then keeps one block of fibers and one key,
+        # at N = 2000 (one block) as at N = 16000 (eight)
+        cover = parse_cover("u^3 - t")
+
+        def peak(N):
+            tracemalloc.start()
+            try:
+                distinct = sum(r.new_field for r in run_census(cover, N, delta=1.0).rows)
+                return distinct, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        (small, small_peak), (big, big_peak) = peak(2000), peak(16000)
+        assert small == big == 1
+        assert big_peak - small_peak < 256 * 1024
+
+    @pytest.mark.parametrize("text", ["u^3 - t*u - t", "u^3 - t"])
+    def test_rows_across_block_boundaries_do_not_depend_on_the_worker_count(self, text):
+        # the reducible fibers of u^3 - t are the cubes, 13^3 .. 16^3 of
+        # them in the second block: a block's residue tables read at the
+        # wrong offset would certify some of them
+        N = 2 * BLOCK + 7
+        lone, pair = (tuple(run_census(parse_cover(text), N, workers=w, delta=1.0).rows) for w in (1, 2))
+        assert lone == pair and [r.n for r in lone] == list(range(1, N + 1))
+        if text == "u^3 - t":
+            assert [r.n for r in lone if r.irreducible is False] == [k**3 for k in range(1, 17)]
 
     def test_ramified_primes_divide_2n(self):
         # family u^2 - t: disc of the fiber is 4n
-        census = run_census(SQRT_COVER, 300)
-        for row in census.per_n:
+        for row in run_census(SQRT_COVER, 300).rows:
             if row.fingerprint is None:
                 continue
             for p in row.fingerprint.odd_valuation_primes:
                 assert (2 * row.n) % p == 0
 
     def test_worker_sharding_is_deterministic(self):
-        lone = run_census(SQRT_COVER, 400, workers=1)
-        quad = run_census(SQRT_COVER, 400, workers=4)
-        assert lone.per_n == quad.per_n
-        assert lone.distinct_lower_bound == quad.distinct_lower_bound
+        lone = tuple(run_census(SQRT_COVER, 400, workers=1).rows)
+        quad = tuple(run_census(SQRT_COVER, 400, workers=4).rows)
+        assert lone == quad
         # workers pull 25-fiber chunks in whatever order they finish, each
         # fiber with its own residue-table verdict; 25 lines up with no
         # table prime, at N = 130 the quartic leaves three fibers to the
         # per-fiber routes, and the reducible cubes 27, 64 and 125 of
         # u^3 - t lie in chunks a misplaced verdict would certify
-        certified = diversity._certified(parse_cover("2*u^4 - t^2*u + 3"), range(1, 131))
+        certified = certified_fibers(parse_cover("2*u^4 - t^2*u + 3"), range(1, 131))
         assert [n for n, cert in zip(range(1, 131), certified) if not cert] == [25, 80, 90]
         for text, N in (("u^3 - t*u - t", 300), ("2*u^4 - t^2*u + 3", 130), ("u^3 - t", 130)):
-            runs = [run_census(parse_cover(text), N, workers=w)
+            runs = [tuple(run_census(parse_cover(text), N, workers=w).rows)
                     for w in (1, 2, 3)]
-            assert runs[0].per_n == runs[1].per_n == runs[2].per_n
-            assert len({r.distinct_lower_bound for r in runs}) == 1
+            assert runs[0] == runs[1] == runs[2]
 
     @staticmethod
     def known_prime_flags(rows):
@@ -475,22 +513,22 @@ class TestCensus:
             return rho(n, effort)
 
         monkeypatch.setattr(factorization, "_brent_rho", recorded)
-        census = run_census(cover, 300, effort=200)
+        rows = tuple(run_census(cover, 300, effort=200).rows)
         census_calls, calls[:] = calls[:], []
-        for row in census.per_n:
+        for row in rows:
             if row.fingerprint is not None:
                 assert fingerprint(fiber_poly(cover, row.n), 200) == row.fingerprint
         assert census_calls == calls and len(calls) > 100
-        partial = [r for r in census.per_n if r.fingerprint is not None and not r.fingerprint.complete]
+        partial = [r for r in rows if r.fingerprint is not None and not r.fingerprint.complete]
         assert len(partial) == 104
-        flags = self.known_prime_flags(census.per_n)
-        assert [r.new_field for r in census.per_n] == flags
-        assert census.distinct_lower_bound == sum(flags) == 247
+        flags = self.known_prime_flags(rows)
+        assert [r.new_field for r in rows] == flags
+        assert census_counts(rows)[0] == sum(flags) == 247
 
     def test_degenerate_fibers_skipped_not_fatal(self):
-        census = run_census(parse_cover("t*u^2 - u - 1"), 50)
-        assert len(census.per_n) == 50
-        assert census.skipped == ()
+        rows = tuple(run_census(parse_cover("t*u^2 - u - 1"), 50).rows)
+        assert len(rows) == 50
+        assert None not in {r.irreducible for r in rows}
 
 
 class TestLinearSieve:
@@ -507,7 +545,7 @@ class TestLinearSieve:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(diversity, "factor_integer", lambda v, **kw: factored.append(v) or factor_integer(v, **kw))
             try:
-                census = run_census(cover, 60, effort=2000, delta=1.0)
+                rows = tuple(run_census(cover, 60, effort=2000, delta=1.0).rows)
             except DegenerateCoverError:
                 assume(False)
         content, factors = factor_over_Z(discriminant_in_u(cover))
@@ -515,7 +553,7 @@ class TestLinearSieve:
         assert factored[0] == content
         if splits:
             assert factored == [content]
-        for row in census.per_n:
+        for row in rows:
             if row.fingerprint is not None:
                 want = fingerprint(fiber_poly(cover, row.n), 2000)
                 if want.complete:
@@ -527,11 +565,38 @@ class TestLinearSieve:
         # isqrt(27*130 + 256) = 61, and those above 25 stride across the
         # 25-fiber chunks the workers take
         cover = parse_cover("u^4 - t*u - t")
-        lone, pair = (run_census(cover, 130, workers=w) for w in (1, 2))
-        assert lone.per_n == pair.per_n
+        lone, pair = (tuple(run_census(cover, 130, workers=w).rows) for w in (1, 2))
+        assert lone == pair
         assert any(25 < p <= 61 and (27 * row.n + 256) % p == 0
-                   for row in lone.per_n if row.fingerprint is not None
+                   for row in lone if row.fingerprint is not None
                    for p in row.fingerprint.odd_valuation_primes)
+
+    @pytest.mark.parametrize("N", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7])
+    def test_blocks_are_sieved_as_one_range(self, N):
+        # D = t^2*(4t - 27): two linear factors, one with a > 1.  The
+        # limits come from the whole range 1..N, so each block gives every
+        # fiber the primes that one call over the whole range gives it:
+        # the primes up to the limit of each value, then what they leave
+        # when that is a prime below (limit + 1)^2
+        content, factors = factor_over_Z(discriminant_in_u(parse_cover("u^3 - t*u - t")))
+        linear = [h for h, _ in factors if h.degree == 1]
+        assert (content, linear) == (1, [IntPoly.of([-27, 4]), IntPoly.of([0, 1])])
+        sieves = diversity._linear_sieves(linear, N)
+        assert [limit for _, limit, _ in sieves] == [math.isqrt(4 * N - 27), math.isqrt(N)]
+        whole = diversity._sieved_primes((), sieves, range(1, N + 1))
+        blocked = [primes for lo in range(1, N + 1, BLOCK)
+                   for primes in diversity._sieved_primes((), sieves, range(lo, min(lo + BLOCK, N + 1)))]
+        assert blocked == whole
+        for n, primes in zip(range(1, N + 1), whole):
+            want = []
+            for h, limit, _ in sieves:
+                small = [p for p in sorted(sympy.factorint(abs(h(n)))) if p <= limit]
+                rest = abs(h(n))
+                for p in small:
+                    while rest % p == 0:
+                        rest //= p
+                want += small + ([rest] if rest > 1 and math.isqrt(rest) <= limit else [])
+            assert primes == want
 
     @pytest.mark.parametrize("constant, effort", [(10**18, 10**6), (10**30, 2000)])
     def test_a_large_constant_term_keeps_the_sieve_at_the_trial_bound(self, monkeypatch, constant, effort):
@@ -542,9 +607,9 @@ class TestLinearSieve:
         limits = []
         sieve = diversity.prime_sieve
         monkeypatch.setattr(diversity, "prime_sieve", lambda limit: limits.append(limit) or sieve(limit))
-        census = run_census(cover, 12, effort=effort, delta=1.0)
+        rows = tuple(run_census(cover, 12, effort=effort, delta=1.0).rows)
         assert limits == [TRIAL_BOUND]
-        assert [row.fingerprint for row in census.per_n] == [fingerprint(fiber_poly(cover, n), effort)
+        assert [row.fingerprint for row in rows] == [fingerprint(fiber_poly(cover, n), effort)
                                                              for n in range(1, 13)]
 
     def test_the_sieve_runs_once_per_linear_factor_at_any_worker_count(self, monkeypatch):
@@ -553,6 +618,6 @@ class TestLinearSieve:
         limits = []
         sieve = diversity.prime_sieve
         monkeypatch.setattr(diversity, "prime_sieve", lambda limit: limits.append(limit) or sieve(limit))
-        census = run_census(parse_cover("u^3 - t*u - t"), 300, workers=2, delta=1.0)
+        rows = tuple(run_census(parse_cover("u^3 - t*u - t"), 300, workers=2, delta=1.0).rows)
         assert sorted(limits) == [math.isqrt(300), math.isqrt(4 * 300 - 27)]
-        assert census.per_n == run_census(parse_cover("u^3 - t*u - t"), 300, delta=1.0).per_n
+        assert rows == tuple(run_census(parse_cover("u^3 - t*u - t"), 300, delta=1.0).rows)

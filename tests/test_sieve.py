@@ -23,6 +23,7 @@ from divlab.sieve import (
     enumerate_MF,
     prime_sieve,
 )
+from divlab.witnesses import verify_property_D
 
 T = IntPoly.of([0, 1])
 T2P1 = IntPoly.of([1, 0, 1])
@@ -110,6 +111,15 @@ class TestBuildPF:
     def test_inseparable_rejected(self):
         with pytest.raises(AlgebraError):
             build_PF(IntPoly.of([1, -2, 1]), 100)
+
+    def test_primes_of_the_content_are_dropped(self):
+        # F = 2*(T + 2) has disc 1 and vanishes identically mod 2, which
+        # would leave roots_mod_p nothing to list; for deg F >= 2 the
+        # content's primes divide disc(F) anyway
+        sieve = build_PF(IntPoly.of([4, 2]), 20)
+        assert sieve.primes_in_PF == (3, 5, 7, 11, 13, 17, 19)
+        assert verify_property_D(sieve) == ()
+        assert build_PF(IntPoly.of([2, 0, 2]), 100).primes_in_PF == build_PF(T2P1, 100).primes_in_PF
 
     def test_prefix_property(self):
         small = build_PF(T2P1, 500)
