@@ -210,9 +210,11 @@ def _load_cover(cfg: RunConfig) -> CurveCover:
 
 def _sieve_and_params(cfg: RunConfig, F: IntPoly) -> tuple[ChebotarevSieve, DiversityParams]:
     """P_F and the parameters of M_F(x). P_F is sieved to `limit` only
-    where its density delta_hat is read, as delta in paper mode; otherwise
-    only to params.prime_bound, since no element of M_F(x) contains a
-    prime above it."""
+    where its density delta_hat is read: as delta in paper mode, and only
+    when delta = 1 gives k > 1, since k = floor(eps*delta*kappa) + 1 grows
+    with delta <= 1 and no other parameter reads it. Otherwise it is
+    sieved only to params.prime_bound, since no element of M_F(x)
+    contains a prime above it."""
     from .sieve import DiversityParams, build_PF
 
     _require(cfg, "x")
@@ -226,12 +228,16 @@ def _sieve_and_params(cfg: RunConfig, F: IntPoly) -> tuple[ChebotarevSieve, Dive
             tail_exponent=cfg.tail,
         )
     else:
-        if cfg.delta is None:
+        def paper(delta: float) -> DiversityParams:
+            return DiversityParams.paper(
+                x=cfg.x, delta=delta, d=cfg.d or F.degree, epsilon=cfg.epsilon,
+                tail_exponent=cfg.tail,
+            )
+
+        params = paper(1.0 if cfg.delta is None else cfg.delta)
+        if cfg.delta is None and params.k > 1:
             full = build_PF(F, limit)
-        params = DiversityParams.paper(
-            x=cfg.x, delta=cfg.delta if full is None else float(full.delta_hat),
-            d=cfg.d or F.degree, epsilon=cfg.epsilon, tail_exponent=cfg.tail,
-        )
+            params = paper(float(full.delta_hat))
     sieve = full if full is not None else build_PF(F, max(2, min(limit, params.prime_bound)))
     return sieve, params
 
@@ -317,8 +323,8 @@ def cmd_witness(cfg: RunConfig) -> int:
     cpath = os.path.join(cfg.out, "cliques.csv")
     with open(cpath, "w", encoding="utf-8", newline="") as fh:
         fh.write("P,m1,m2,m3,type\n")
-        for lines in cliques:  # one P-group in memory at a time
-            fh.writelines(lines)
+        for text in cliques:  # one P-group in memory at a time
+            fh.write(text)
     print(f"mode = {params.mode}")
     print(f"|M_F(x)| = {len(mf)} -> {path}")
     n_greedy = sum(greedy)

@@ -241,8 +241,9 @@ def enumerate_MF(sieve: ChebotarevSieve, params: DiversityParams) -> list[MFElem
             return
         for i in range(start, len(primes)):
             p = primes[i]
-            # need k - len(chosen) - 1 more small primes plus a larger P
-            if m1 * p > hi:
+            # p needs k - len(chosen) - 1 more small primes plus a larger
+            # P, each above p
+            if m1 * p ** (k - len(chosen) + 1) > hi:
                 break
             extend(m1 * p, chosen + (p,), i + 1)
 

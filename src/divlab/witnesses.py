@@ -8,7 +8,6 @@ D take F, disc(F) and the primes of P_F from the sieve instead.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -80,21 +79,23 @@ def crt_root(F: IntPoly, m: int) -> CrtRoot:
 
 
 def _crt_root(primes: Sequence[int], m: int, roots: dict[int, list[int]]) -> CrtRoot:
+    """The n in [0, m) with n = r mod p for one root r mod each prime p of
+    m are the sums of r * e_p mod m, with the CRT idempotents e_p = 1 mod
+    p, 0 mod m/p.  Under the cap, every residue is built prime by prime in
+    one list and the least taken; above it, the first combination in
+    product order, each prime's first root."""
+    combinations = 1
     for p in primes:
         if not roots[p]:
             raise NoRootError(p)
-    minimal = math.prod(len(roots[p]) for p in primes) <= CRT_ENUMERATION_CAP
-    residues = _crt_residues(primes, m, roots)
-    return CrtRoot(n=min(residues) if minimal else next(residues), minimal=minimal)
-
-
-def _crt_residues(primes: Sequence[int], m: int, roots: dict[int, list[int]]) -> Iterator[int]:
-    """The n in [0, m) with n = r mod p for one root r mod each prime p of
-    m, one per combination of roots in product order: sum r * e_p mod m,
-    with the CRT idempotents e_p = 1 mod p, 0 mod m/p computed once."""
+        combinations *= len(roots[p])
     basis = [m // p * pow(m // p, -1, p) for p in primes]
-    for combo in itertools.product(*(roots[p] for p in primes)):
-        yield sum(r * e for r, e in zip(combo, basis)) % m
+    if combinations > CRT_ENUMERATION_CAP:
+        return CrtRoot(n=sum(roots[p][0] * e for p, e in zip(primes, basis)) % m, minimal=False)
+    residues = [0]
+    for p, e in zip(primes, basis):
+        residues = [(s + r * e) % m for s in residues for r in roots[p]]
+    return CrtRoot(n=min(residues), minimal=True)
 
 
 def exact_divisor_shift(F: IntPoly, m: int, n: int) -> int:
@@ -304,31 +305,39 @@ def classify_greedy(witnesses: Sequence[WitnessRecord], d: int) -> list[bool]:
 
 @dataclass(frozen=True)
 class Cliques:
-    """The clique lines of a set, one P-group at a time.  Iterating yields
-    one list of `cliques.csv` lines per P with at least three cofactors,
-    in ascending P, and builds each list only when it is reached; len() is
-    the total number of lines, counted without building any."""
+    """The clique text of a set, one P-group at a time.  Iterating yields
+    one str per P with at least three cofactors, in ascending P: the
+    group's `cliques.csv` lines joined, each ending in a newline, built
+    only when the group is reached.  len() is the total number of lines,
+    counted without building any."""
 
     groups: tuple[tuple[int, tuple[int, ...]], ...]  # (P, sorted distinct cofactors)
 
     def __len__(self) -> int:
         return sum(math.comb(len(cofs), 3) for _, cofs in self.groups)
 
-    def __iter__(self) -> Iterator[list[str]]:
+    def __iter__(self) -> Iterator[str]:
         for P, cofs in self.groups:
             text = [str(c) for c in cofs]
             # lcms[i][j - i - 1] = lcm(cofs[i], cofs[j]) for i < j
             lcms = [[math.lcm(a, b) for b in cofs[i + 1 :]] for i, a in enumerate(cofs)]
-            lines: list[str] = []
-            for i, a in enumerate(text):
-                head = f"{P},{a},"
-                for j in range(i + 1, len(cofs)):
-                    prefix, ab = head + text[j] + ",", lcms[i][j - i - 1]
-                    lines.extend([
-                        prefix + c + (",equal-lcm\n" if ab == ac == bc else ",proper-lcm\n")
-                        for c, ac, bc in zip(text[j + 1 :], lcms[i][j - i :], lcms[j])
-                    ])
-            yield lines
+            parts: list[str] = []
+            for i in range(len(cofs) - 2):
+                head, row = f"{P},{text[i]},", lcms[i]
+                for j in range(i + 1, len(cofs) - 1):
+                    prefix, ab = head + text[j] + ",", row[j - i - 1]
+                    # a later c makes an equal-lcm trio only where ab is
+                    # both lcm(a, c) and lcm(b, c); otherwise every line
+                    # of the pair is proper-lcm
+                    if ab in lcms[j] and ab in row[j - i :]:
+                        parts.extend([
+                            prefix + c + (",equal-lcm\n" if ab == ac == bc else ",proper-lcm\n")
+                            for c, ac, bc in zip(text[j + 1 :], row[j - i :], lcms[j])
+                        ])
+                    else:
+                        sep = ",proper-lcm\n" + prefix
+                        parts.append(prefix + sep.join(text[j + 1 :]) + ",proper-lcm\n")
+            yield "".join(parts)
 
 
 def find_cliques(mf: Iterable[MFElement]) -> Cliques:
@@ -337,8 +346,8 @@ def find_cliques(mf: Iterable[MFElement]) -> Cliques:
     over the sorted cofactors, each as its `cliques.csv` line
     "P,m1,m2,m3,type\n".  A trio is "equal-lcm" when its three pairwise
     lcms agree (their common value is then the lcm of all three), and
-    "proper-lcm" otherwise.  The lines come one P-group at a time, so a
-    writer holds only the largest group, never the whole file."""
+    "proper-lcm" otherwise.  The text comes as one str per P-group, so a
+    writer holds only the largest group's text, never the whole file."""
     by_P: dict[int, set[int]] = defaultdict(set)
     for e in mf:
         by_P[e.P].add(e.m1)

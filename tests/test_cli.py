@@ -361,7 +361,7 @@ class TestWitnessCommand:
         ]
         header, body = (tmp_path / "w" / "cliques.csv").read_bytes().decode().split("\n", 1)
         assert header == "P,m1,m2,m3,type"
-        assert body == "".join(line for group in find_cliques(mf) for line in group)
+        assert body == "".join(find_cliques(mf))
         # an oracle of its own, read off mf.csv's P and m1 columns
         by_P = {}
         for _, _, P, m1 in read_csv(tmp_path / "s" / "mf.csv")[1:]:
@@ -401,8 +401,12 @@ class TestWitnessCommand:
                    "--window-lo", "3000", "--window-hi", "15000", "--tail", "off"), [600]),
         # paper mode: prime_bound = 40926 // 30 = 1364 (k = 1, y = 29.76)
         ("witness", ("--x", "100000", "--delta", "0.5", "--epsilon", "0.5", "--tail", "off"), [1364]),
-        # paper mode without delta reads delta_hat off P_F up to limit
+        # paper mode without delta, where delta = 1 gives k = 2, reads
+        # delta_hat off P_F up to limit (and delta_hat = 1/2 gives k = 1)
         ("witness", ("--x", "100000", "--epsilon", "0.5", "--tail", "off"), [100000]),
+        # paper mode without delta, where delta = 1 gives k = 1, so every
+        # delta does: no delta_hat sieve; prime_bound = 518 // 14 = 37
+        ("witness", ("--x", "1000", "--epsilon", "0.5", "--tail", "off"), [37]),
     ])
     def test_sieves_P_F_only_as_far_as_it_is_read(self, tmp_path, capsys, monkeypatch,
                                                    command, args, limits):
@@ -417,6 +421,22 @@ class TestWitnessCommand:
                            "--out", str(tmp_path))
         assert code == 0 and "|M_F(x)| = 0 " not in out
         assert calls == limits
+
+    def test_paper_mode_with_the_default_epsilon_reads_no_delta_hat(self, tmp_path, capsys, monkeypatch):
+        # eps*kappa < 1 gives k = 1 whatever delta is; prime_bound is
+        # 3597197 // 9753216 = 0, so P_F is sieved only to 2, not to x
+        calls = []
+
+        def counting_build_PF(F, limit):
+            calls.append(limit)
+            return build_PF(F, limit)
+
+        monkeypatch.setattr(divlab.sieve, "build_PF", counting_build_PF)
+        code, out, err = run(capsys, "sieve", "--cover", "u^3 - t*u - t", "--x", "1e7",
+                             "--out", str(tmp_path))
+        assert code == 0 and calls == [2]
+        assert "k+1 = 2, y = 9.68226e+06, " in out and "|M_F(x)| = 0 " in out
+        assert err.startswith("warning: special squarefree set is empty ")
 
     def test_lemma_violation_exits_3(self, tmp_path, capsys, monkeypatch):
         def violated(*args, **kwargs):

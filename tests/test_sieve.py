@@ -354,6 +354,13 @@ class TestEnumerateMF:
     @example(F=T2P1, k=1, y=5, window_lo=1250, span=1250, tail=None, x=10**4)
     @example(F=T, k=1, y=3, window_lo=1250, span=1250, tail=Fraction(1, 2), x=10**4)
     @example(F=IntPoly.of([0, 2, -3, 1]), k=2, y=2, window_lo=1250, span=1250, tail=None, x=10**4)
+    # window_hi at m1*p^(k - len(chosen) + 1) for a cofactor m1 of the
+    # chosen primes, and one below: m1 = 2, p = 7 at k = 3; m1 = 2*3,
+    # p = 11 at k = 4
+    @example(F=T, k=3, y=2, window_lo=0, span=2 * 7**3, tail=None, x=10**4)
+    @example(F=T, k=3, y=2, window_lo=0, span=2 * 7**3 - 1, tail=None, x=10**4)
+    @example(F=T, k=4, y=2, window_lo=0, span=2 * 3 * 11**3, tail=None, x=10**4)
+    @example(F=T, k=4, y=2, window_lo=0, span=2 * 3 * 11**3 - 1, tail=None, x=10**4)
     def test_agrees_with_window_scan(self, F, k, y, window_lo, span, tail, x):
         # fractional y and window ends, windows reaching below 2, and k = 0;
         # the scan tests every defining condition of each m from scratch

@@ -8,9 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import root_count_suite, shift_lemma_suite
+from divlab import witnesses
 from divlab.algebra import IntPoly
 from divlab.sieve import DiversityParams, MFElement, build_PF, enumerate_MF
 from divlab.witnesses import (
+    CrtRoot,
     NoRootError,
     PreconditionError,
     WitnessRecord,
@@ -31,6 +33,7 @@ from divlab.witnesses import (
 T = IntPoly.of([0, 1])
 T2P1 = IntPoly.of([1, 0, 1])
 CUBIC = IntPoly.of([0, 2, -3, 1])  # T^3 - 3T^2 + 2T
+DIVISORS_3960 = [d for d in range(1, 3961) if 3960 % d == 0]
 
 
 class TestRho:
@@ -78,9 +81,20 @@ class TestCrtRoot:
 
     def test_minimality_by_exhaustion(self):
         rng = random.Random(7)
-        for _ in range(80):
-            F = IntPoly.of([rng.randint(-20, 20), rng.randint(-20, 20), 1])
-            m = rng.choice([15, 35, 77, 65, 221])
+        cases = [
+            (IntPoly.of([rng.randint(-20, 20), rng.randint(-20, 20), 1]),
+             rng.choice([15, 35, 77, 65, 221]))
+            for _ in range(80)
+        ]
+        # T^3 - T and its translates have three roots mod every odd prime,
+        # so a three-prime m has 27 root combinations
+        cases += [(IntPoly.of([0, -1, 0, 1]), m) for m in (105, 385, 1001)]
+        for _ in range(20):
+            c = rng.randint(1, 500)
+            cases.append((IntPoly.of([c**3 - c, 3 * c**2 - 1, 3 * c, 1]),
+                          rng.choice([105, 165, 385, 1001, 7429])))
+        combos = 0
+        for F, m in cases:
             try:
                 root = crt_root(F, m)
             except NoRootError:
@@ -88,6 +102,17 @@ class TestCrtRoot:
             assert root.minimal
             brute = min(n for n in range(m) if F(n) % m == 0)
             assert root.n == brute
+            combos = max(combos, rho_F(F, m))
+        assert combos == 27
+
+    def test_above_the_cap_takes_the_first_combination(self, monkeypatch):
+        # the first product-order combination takes each prime's first
+        # root: 2 mod 5, 5 mod 13 (and 4 mod 17)
+        monkeypatch.setattr(witnesses, "CRT_ENUMERATION_CAP", 1)
+        assert crt_root(T2P1, 65) == CrtRoot(n=57, minimal=False)
+        assert crt_root(T2P1, 5 * 13 * 17) == CrtRoot(n=837, minimal=False)
+        monkeypatch.setattr(witnesses, "CRT_ENUMERATION_CAP", 4)
+        assert crt_root(T2P1, 65) == CrtRoot(n=8, minimal=True)
 
 
 class TestExactDivisorShift:
@@ -306,12 +331,12 @@ class TestCliques:
     def test_equal_lcm_type(self):
         P = 101
         mf = [MFElement(c * P, (c, P)) for c in (6, 10, 15)]
-        assert list(find_cliques(mf)) == [["101,6,10,15,equal-lcm\n"]]
+        assert list(find_cliques(mf)) == ["101,6,10,15,equal-lcm\n"]
 
     def test_proper_lcm_type(self):
         P = 101
         mf = [MFElement(c * P, (c, P)) for c in (6, 10, 14)]
-        assert list(find_cliques(mf)) == [["101,6,10,14,proper-lcm\n"]]
+        assert list(find_cliques(mf)) == ["101,6,10,14,proper-lcm\n"]
 
     def test_half_window_relations_hold(self):
         # cofactors drawn from a [c, 2c) window satisfy the pairwise size
@@ -319,7 +344,7 @@ class TestCliques:
         P = 997
         cofactors = (10, 14, 15, 19)
         mf = [MFElement(c * P, (c, P)) for c in cofactors]
-        rows = [line.split(",") for group in find_cliques(mf) for line in group]
+        rows = [line.split(",") for line in "".join(find_cliques(mf)).splitlines()]
         assert [int(row[0]) for row in rows] == [P] * 4
         trios = [tuple(map(int, row[1:4])) for row in rows]
         assert trios == list(itertools.combinations(cofactors, 3))
@@ -338,7 +363,7 @@ class TestCliques:
                 st.one_of(
                     st.integers(1, 120),
                     # divisors of one number make lcm coincidences common
-                    st.sampled_from([d for d in range(1, 3961) if 3960 % d == 0]),
+                    st.sampled_from(DIVISORS_3960),
                 ),
             ),
             max_size=40,
@@ -347,6 +372,11 @@ class TestCliques:
     @example([(101, 6), (101, 10), (101, 15), (101, 30), (101, 6),
               (103, 12), (103, 18), (103, 36), (103, 4), (103, 1),
               (107, 40), (107, 44), (107, 55), (107, 3), (107, 6)])
+    # one group of 44 cofactors, in which some pairs have an equal-lcm
+    # trio and others have none
+    @example([(103, d) for d in DIVISORS_3960[2:46]])
+    # the group's only equal-lcm trio ends at its last cofactor
+    @example([(101, 6), (101, 10), (101, 14), (101, 15)])
     def test_agrees_with_brute_force(self, pairs):
         mf = [MFElement(c * P, (c, P)) for P, c in pairs]
         want = []
@@ -358,13 +388,16 @@ class TestCliques:
                 kind = "equal-lcm" if equal else "proper-lcm"
                 want.append(f"{P},{a},{b},{c},{kind}\n")
         cliques = find_cliques(mf)
-        groups = list(cliques)
-        # one nonempty group per P, in ascending P, built afresh on each pass
+        chunks = list(cliques)
+        # one nonempty chunk of whole lines per P, in ascending P, built
+        # afresh on each pass
+        groups = [chunk.splitlines(keepends=True) for chunk in chunks]
+        assert all(group and all(line.endswith("\n") for line in group) for group in groups)
         Ps = [{line.split(",")[0] for line in group} for group in groups]
         assert all(len(P) == 1 for P in Ps)
         assert [int(P.pop()) for P in Ps] == sorted({int(line.split(",")[0]) for line in want})
-        assert [line for group in groups for line in group] == want
-        assert list(cliques) == groups
+        assert "".join(chunks).splitlines(keepends=True) == want
+        assert list(cliques) == chunks
         assert len(cliques) == len(want)
 
 
