@@ -75,7 +75,7 @@ _READS = {
     ("witness", "paper"): {*_M_F, "epsilon", "delta", "d", "limit"},
     ("witness", "override"): {*_M_F, "k", "y", "window_lo", "window_hi", "d"},
     ("diversity", None): {"cover", "N", "delta", "budget", "workers", "out"},
-    ("verify", None): {"cover", "budget"},
+    ("verify", None): {"cover"},
 }
 
 
@@ -265,21 +265,21 @@ def _fact_str(primes) -> str:
 # subcommands
 
 def cmd_analyze(cfg: RunConfig) -> int:
-    from .sieve import build_PF, check_density_floor
+    from .sieve import DENSITY_SLACK, build_PF, check_density_floor
 
     cover = _load_cover(cfg)
     F = critical_polynomial(cover)
     sieve = build_PF(F, cfg.limit or 10_000)
     d = cfg.d or F.degree
-    floor = check_density_floor(sieve, d)
+    margin = check_density_floor(sieve, d)
     print(f"F = {format_poly(F, 'T')}")
     print(f"d = {d}")
     print(f"disc(F) = {sieve.discriminant}")
     print(f"|P_F| = {len(sieve.primes_in_PF)} of {sieve.total_primes} primes up to {sieve.limit}")
     print(f"delta_hat = {float(sieve.delta_hat):.6f} ({sieve.delta_hat})")
     print(
-        f"density floor 1/d = {floor.floor:.6f} (slack {floor.slack}): "
-        f"{'pass' if floor.passed else 'FAIL'} (margin {floor.margin:+.6f})"
+        f"density floor 1/d = {1.0 / d:.6f} (slack {DENSITY_SLACK}): "
+        f"{'pass' if margin >= 0 else 'FAIL'} (margin {margin:+.6f})"
     )
     return 0
 
@@ -393,11 +393,11 @@ def cmd_verify(cfg: RunConfig) -> int:
           f"{len(d_fail)} failures: {'pass' if not d_fail else 'FAIL'}")
     hard_failures += bool(d_fail)
 
-    rep_e = verify_property_E(F, 100, 2000, effort=cfg.budget)
+    rep_e = verify_property_E(F, 100, 2000)
     # a violation, more than deg F primes >= n/4 where the size of F(n)
     # rules that out, can only be a factorization fault.  Exceptions (the
-    # size allows them) and indeterminate n (an unsplit cofactor that
-    # could hide such primes) are reported, not failed.
+    # size allows them) and indeterminate n (a composite rest that could
+    # hide such primes) are reported, not failed.
     ok = not rep_e.violations
     hard_failures += not ok
     print(

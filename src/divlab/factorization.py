@@ -620,7 +620,7 @@ def _brent_rho(n: int, effort: int) -> int:
     return 0
 
 
-# factor_integer divides out the primes up to this bound before rho
+# trial_divide divides out the primes up to this bound
 TRIAL_BOUND = 10_000
 
 
@@ -634,17 +634,10 @@ def _trial_primes() -> tuple[int, list[int]]:
     return math.prod(primes), primes
 
 
-def factor_integer(nval: int, effort: int = 1_000_000) -> IntFactorization:
-    """Factor a nonzero integer: trial division by the primes up to
-    TRIAL_BOUND, found through one gcd with their product, then Pollard
-    rho (Brent) within the iteration budget on every part proved
-    composite, at or above _MR_LIMIT too.  A prime is listed
-    only when is_prime certifies it; the unsplit part lands in cofactor."""
-    if nval == 0:
-        raise AlgebraError("cannot factor zero")
-    sign = -1 if nval < 0 else 1
-    n = abs(nval)
-    found: dict[int, int] = {}
+def trial_divide(n: int) -> tuple[dict[int, int], int]:
+    """Divide the primes up to TRIAL_BOUND out of n >= 1, finding them
+    through one gcd with their product: returns ({p: e}, rest), with
+    every prime of rest above TRIAL_BOUND."""
     product, primes = _trial_primes()
     g = math.gcd(n, product)
     small = []
@@ -656,10 +649,23 @@ def factor_integer(nval: int, effort: int = 1_000_000) -> IntFactorization:
             g //= p
     if g > 1:
         small.append(g)  # no prime below sqrt(g) is left in g, so g is prime
+    found: dict[int, int] = {}
     for p in small:
         while n % p == 0:
             found[p] = found.get(p, 0) + 1
             n //= p
+    return found, n
+
+
+def factor_integer(nval: int, effort: int = 1_000_000) -> IntFactorization:
+    """Factor a nonzero integer: trial_divide, then Pollard rho (Brent)
+    within the iteration budget on every part proved composite, at or
+    above _MR_LIMIT too.  A prime is listed only when is_prime certifies
+    it; the unsplit part lands in cofactor."""
+    if nval == 0:
+        raise AlgebraError("cannot factor zero")
+    sign = -1 if nval < 0 else 1
+    found, n = trial_divide(abs(nval))
     cofactor = 1
     stack = [n] if n > 1 else []
     while stack:

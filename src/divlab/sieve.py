@@ -69,26 +69,16 @@ def build_PF(F: IntPoly, limit: int) -> ChebotarevSieve:
     )
 
 
-@dataclass(frozen=True)
-class DensityFloorReport:
-    delta_hat: float
-    floor: float
-    slack: float
-    margin: float
-    passed: bool
+# the finite-sample slack below 1/d that check_density_floor allows
+DENSITY_SLACK = 0.05
 
 
-def check_density_floor(sieve: ChebotarevSieve, d: int) -> DensityFloorReport:
-    """Check that the measured density clears 1/d, up to a finite-sample
-    slack of 0.05."""
+def check_density_floor(sieve: ChebotarevSieve, d: int) -> float:
+    """The margin by which the measured density clears 1/d, up to
+    DENSITY_SLACK: negative when it falls short."""
     if sieve.total_primes < 100:
         raise ValueError("sieve limit too small: need at least 100 primes")
-    dh = float(sieve.delta_hat)
-    floor, slack = 1.0 / d, 0.05
-    margin = dh - (floor - slack)
-    return DensityFloorReport(
-        delta_hat=dh, floor=floor, slack=slack, margin=margin, passed=margin >= 0
-    )
+    return float(sieve.delta_hat) - (1.0 / d - DENSITY_SLACK)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ lifting, the exact-divisor shift lemma, primitive witnesses, empirical
 verification of the supporting divisibility properties, greedy/generous
 classification and clique detection.  The single-m functions factor m
 and compute disc(F); the set pipeline and the checks of properties C and
-D take F, disc(F) and the primes of P_F from the sieve instead.
+D take F, disc(F) and P_F from the sieve; E's check only trial-divides F(n).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .algebra import IntPoly, LemmaViolation, poly_discriminant
-from .factorization import factor_integer, roots_mod_p
+from .factorization import _MR_LIMIT, TRIAL_BOUND, factor_integer, is_prime, roots_mod_p, trial_divide
 from .sieve import ChebotarevSieve, DiversityParams, MFElement
 
 # above this many root combinations, crt_root stops searching for the
@@ -109,14 +109,17 @@ def exact_divisor_shift(F: IntPoly, m: int, n: int) -> int:
 
 
 def _shift(F: IntPoly, disc: int, primes: Sequence[int], m: int, n: int) -> int:
-    if F(n) % m != 0:
+    value = F(n)
+    if value % m != 0:
         raise PreconditionError(f"m = {m} does not divide F({n})")
     if disc == 0:
         raise PreconditionError("F is not separable")
     if math.gcd(m, disc) != 1:
         raise PreconditionError(f"m = {m} shares a factor with disc(F) = {disc}")
+    if exact_divides(m, value):
+        return 0
     omega = len(primes)
-    for ell in range(omega + 1):
+    for ell in range(1, omega + 1):
         if exact_divides(m, F(n + ell * m)):
             return ell
     # p_min(m) > omega(m) is what guarantees a shift exists; the search
@@ -260,16 +263,22 @@ class PropertyEReport:
     # (n, count) with count > deg F primes >= n/4 dividing F(n)
     violations: tuple[tuple[int, int], ...]  # ruled out by the size of F(n)
     exceptions: tuple[tuple[int, int], ...]  # allowed by the size of F(n)
-    indeterminate: tuple[int, ...]  # an unsplit cofactor >= n/4 is left
+    indeterminate: tuple[int, ...]  # a composite rest the size bound cannot settle
 
 
-def verify_property_E(F: IntPoly, n_lo: int, n_hi: int, effort: int = 200_000) -> PropertyEReport:
+def verify_property_E(F: IntPoly, n_lo: int, n_hi: int) -> PropertyEReport:
     """Count the prime divisors of F(n) that are >= n/4; once n is large,
     at most d = deg F of them.  More than d such primes force
     |F(n)| >= (n/4)^(d+1), so a count above d where
     4^(d+1)*|F(n)| < n^(d+1) is a violation, which only a factorization
     fault can give; a count above d that the size allows is an
-    exception."""
+    exception.  Only trial_divide factors: each prime of its rest is
+    above TRIAL_BOUND >= n/4, so a rest <= TRIAL_BOUND^(d+1-count) holds
+    at most d - count of them and settles n; else a rest of 1 or a prime
+    gives the exact count, and any other rest leaves n indeterminate.
+    Requires n_hi <= 4*TRIAL_BOUND."""
+    if n_hi > 4 * TRIAL_BOUND:
+        raise PreconditionError(f"n_hi = {n_hi} exceeds 4*TRIAL_BOUND = {4 * TRIAL_BOUND}")
     d = F.degree
     violations = []
     exceptions = []
@@ -278,11 +287,15 @@ def verify_property_E(F: IntPoly, n_lo: int, n_hi: int, effort: int = 200_000) -
         v = F(n)
         if v == 0:
             continue
-        fact = factor_integer(v, effort=effort)
-        if not fact.complete and 4 * fact.cofactor >= n:
-            indeterminate.append(n)
+        small, rest = trial_divide(abs(v))
+        count = sum(1 for p in small if 4 * p >= n)
+        if count <= d and rest <= TRIAL_BOUND ** (d + 1 - count):
             continue
-        count = sum(1 for p in fact.primes if 4 * p >= n)
+        if rest > 1:
+            if rest >= _MR_LIMIT or not is_prime(rest):
+                indeterminate.append(n)
+                continue
+            count += 1
         if count > d:
             ruled_out = 4 ** (d + 1) * abs(v) < n ** (d + 1)
             (violations if ruled_out else exceptions).append((n, count))

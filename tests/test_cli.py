@@ -241,6 +241,8 @@ class TestReadKeys:
         ("diversity", ("--N", "20"), "mode", "override", "diversity"),
         ("analyze", (), "x", "5000", "analyze"),
         ("verify", (), "limit", "20000", "verify"),
+        # the large-prime-divisor count needs no rho, so no rho budget
+        ("verify", (), "budget", "5", "verify"),
     ])
     def test_unread_key_is_config_error(self, tmp_path, capsys, command, extra, key, text, what):
         text = str(tmp_path) if text == "OUT" else text
@@ -298,6 +300,23 @@ class TestReadKeys:
 
 
 class TestAnalyze:
+    @pytest.mark.parametrize("argv, stdout", [
+        (("--cover", "u^2 - t"),
+         "F = T\nd = 1\ndisc(F) = 1\n|P_F| = 1229 of 1229 primes up to 10000\n"
+         "delta_hat = 1.000000 (1)\n"
+         "density floor 1/d = 1.000000 (slack 0.05): pass (margin +0.050000)\n"),
+        (("--cover", "u^2 + t^2 + 1"),
+         "F = T^2 + 1\nd = 2\ndisc(F) = -4\n|P_F| = 609 of 1229 primes up to 10000\n"
+         "delta_hat = 0.495525 (609/1229)\n"
+         "density floor 1/d = 0.500000 (slack 0.05): pass (margin +0.045525)\n"),
+        (("--cover", "u^2 + t^2 + 1", "--d", "1"),
+         "F = T^2 + 1\nd = 1\ndisc(F) = -4\n|P_F| = 609 of 1229 primes up to 10000\n"
+         "delta_hat = 0.495525 (609/1229)\n"
+         "density floor 1/d = 1.000000 (slack 0.05): FAIL (margin -0.454475)\n"),
+    ], ids=["identity", "gaussian", "gaussian-d1"])
+    def test_stdout_is_pinned(self, capsys, argv, stdout):
+        assert run(capsys, "analyze", *argv) == (0, stdout, "")
+
     def test_simple_cover(self, capsys):
         code, out, _ = run(capsys, "analyze", "--cover", "u^2 - t")
         assert code == 0
@@ -663,8 +682,8 @@ class TestVerifyCommand:
     def test_property_E_violation_is_a_hard_failure(self, capsys, monkeypatch):
         verify_property_E = divlab.witnesses.verify_property_E
 
-        def with_violation(F, n_lo, n_hi, **kw):
-            rep = verify_property_E(F, n_lo, n_hi, **kw)
+        def with_violation(F, n_lo, n_hi):
+            rep = verify_property_E(F, n_lo, n_hi)
             assert rep.violations == ()
             return replace(rep, violations=((n_lo, F.degree + 1),))
 
@@ -687,6 +706,25 @@ class TestVerifyCommand:
             capsys, "verify", "--cover", "u^2 - t^3 + 3*t^2 - 2*t"
         )
         assert code == 0
+
+    def test_large_degree_covers_leave_no_n_open(self, capsys):
+        # F has degree 8: trial division and the size bound settle every n
+        code, out, _ = run(capsys, "verify", "--cover", "2*u^4 - t^2*u + 3")
+        assert code == 0
+        assert ("large-prime-divisor count (n in [100, 2000]): 0 above-threshold, "
+                "0 allowed by size, 0 indeterminate: pass\n") in out
+
+    def test_verify_never_runs_rho(self, capsys, monkeypatch):
+        def no_rho(n, effort):
+            raise AssertionError(f"rho called on {n}")
+
+        monkeypatch.setattr(divlab.factorization, "_brent_rho", no_rho)
+        # F = T^8 - 512 is the critical polynomial of 2*u^4 - t^2*u + 3
+        rep = divlab.witnesses.verify_property_E(divlab.algebra.IntPoly.of([-512] + [0] * 7 + [1]), 100, 150)
+        assert (rep.violations, rep.exceptions, rep.indeterminate) == ((), (), ())
+        code, out, _ = run(capsys, "verify", "--cover", "u^3 - t^2*u - t^5 - 1")
+        assert code == 0
+        assert "0 above-threshold, 0 allowed by size, 0 indeterminate: pass\n" in out
 
 
 def count_calls(monkeypatch, owner, name):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import root_count_suite, shift_lemma_suite
 from divlab import witnesses
 from divlab.algebra import IntPoly
+from divlab.factorization import TRIAL_BOUND
 from divlab.sieve import DiversityParams, MFElement, build_PF, enumerate_MF
 from divlab.witnesses import (
     CrtRoot,
@@ -139,6 +140,28 @@ class TestExactDivisorShift:
         _, _, violations, max_shift = shift_lemma_suite(99)
         assert violations == 0
         assert max_shift <= 3
+
+    def test_one_evaluation_per_candidate_shift(self, monkeypatch):
+        # F(n0) serves both the m | F(n0) precondition and the l = 0 test
+        F, x = T2P1, 10**5
+        sieve = build_PF(F, x)
+        mf = enumerate_MF(sieve, DiversityParams(x=x, k=2, y=5, window_lo=x / 16, window_hi=x / 4))
+        roots = {p: witnesses.roots_mod_p(F, p) for p in {p for e in mf for p in e.primes}}
+        calls = []
+        evaluate = IntPoly.__call__
+
+        def counted(self, n):
+            calls.append(n)
+            return evaluate(self, n)
+
+        monkeypatch.setattr(IntPoly, "__call__", counted)
+        shifts = set()
+        for e in mf:
+            calls.clear()
+            rec = witnesses._witness(F, sieve.discriminant, e.primes, e.m, roots, None, None)
+            assert len(calls) == rec.shift_l + 1
+            shifts.add(rec.shift_l)
+        assert shifts == {0, 1, 2}
 
 
 class TestPrimitiveWitness:
@@ -288,6 +311,42 @@ class TestPropertyE:
         # F(7) = 50: primes 2, 5 are both >= 7/4, count = 2 = d
         rep = verify_property_E(T2P1, 7, 7)
         assert rep.violations == rep.exceptions == ()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(-1000, 1000), max_size=9),
+        st.integers(-1000, 1000).filter(bool),
+        st.integers(1, 2000),
+    )
+    # 1000*550^2 + 1 = 139 * 197 * 11047: a prime rest makes the count 3
+    @example([1, 0], 1000, 550)
+    # 100 + 100159963 = 10007 * 10009, a composite rest above 10^8
+    @example([100159963], 1, 100)
+    def test_agrees_with_sympy(self, low, lead, n):
+        import sympy
+
+        F = IntPoly.of(low + [lead])
+        d, v = F.degree, F(n)
+        rep = verify_property_E(F, n, n)
+        if v == 0:
+            assert (rep.violations, rep.exceptions, rep.indeterminate) == ((), (), ())
+            return
+        primes = sympy.factorint(abs(v))
+        if rep.indeterminate == (n,):
+            # only a composite rest above TRIAL_BOUND leaves n open
+            assert sum(e for p, e in primes.items() if p > TRIAL_BOUND) >= 2
+            return
+        assert rep.indeterminate == ()
+        count = sum(1 for p in primes if 4 * p >= n)
+        assert dict(rep.violations + rep.exceptions) == ({n: count} if count > d else {})
+        assert rep.violations == (((n, count),) if count > d and 4 ** (d + 1) * abs(v) < n ** (d + 1) else ())
+
+    def test_n_above_four_trial_bounds_is_refused(self):
+        # a prime just above TRIAL_BOUND could fall below n/4
+        rep = verify_property_E(T, 4 * TRIAL_BOUND, 4 * TRIAL_BOUND)
+        assert (rep.violations, rep.exceptions, rep.indeterminate) == ((), (), ())
+        with pytest.raises(PreconditionError, match="exceeds 4"):
+            verify_property_E(T, 4 * TRIAL_BOUND, 4 * TRIAL_BOUND + 1)
 
     def test_naive_cross_check(self):
         import sympy
