@@ -383,7 +383,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     # one sieve serves every check: the first 50 primes of P_F, each of
     # its primes up to 10^4, and M_F(10^4) for the witness re-check
     sieve = build_PF(F, 10_000)
-    c_viol = sum(len(verify_property_C(sieve, p).violations) for p in sieve.primes_in_PF[:50])
+    c_viol = sum(len(verify_property_C(sieve, p)) for p in sieve.primes_in_PF[:50])
     print(f"exact-division after shift by p (first 50 primes): "
           f"{c_viol} violations: {'pass' if c_viol == 0 else 'FAIL'}")
     hard_failures += c_viol > 0

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import AlgebraError, CurveCover, IntPoly, critical_polynomial, discriminant_in_u, poly_discriminant
-from .factorization import TRIAL_BOUND, factor_integer, factor_over_Z, is_irreducible_mod_p
-from .sieve import build_PF, default_epsilon, prime_sieve
+from .factorization import TRIAL_BOUND, factor_integer, factor_over_Z, is_irreducible_mod_p, prime_sieve
+from .sieve import build_PF, default_epsilon
 
 
 class DegenerateFiberError(ValueError):

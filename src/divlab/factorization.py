@@ -1,8 +1,9 @@
 """Factorization kernels: polynomial factorization over GF(p) (distinct
 degree + equal degree splitting), integer polynomial factorization over Z
-(Hensel lifting with subset recombination), and integer factorization
+(Hensel lifting with subset recombination), integer factorization
 (trial division + Brent-cycle Pollard rho with deterministic Miller-Rabin
-certificates).
+certificates), and the prime sieve that trial division and the layers
+above draw their primes from.
 
 Both polynomial factorizations work the same way: find the distinct
 irreducible factors of a squarefree polynomial with the same roots (over
@@ -620,6 +621,18 @@ def _brent_rho(n: int, effort: int) -> int:
     return 0
 
 
+def prime_sieve(limit: int) -> list[int]:
+    """All primes <= limit, by a sieve of Eratosthenes."""
+    if limit < 2:
+        raise ValueError("limit must be at least 2")
+    flags = bytearray([1]) * (limit + 1)
+    flags[0:2] = b"\x00\x00"
+    for i in range(2, math.isqrt(limit) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytes((limit - i * i) // i + 1)
+    return list(itertools.compress(range(limit + 1), flags))
+
+
 # trial_divide divides out the primes up to this bound
 TRIAL_BOUND = 10_000
 
@@ -627,9 +640,6 @@ TRIAL_BOUND = 10_000
 @functools.cache
 def _trial_primes() -> tuple[int, list[int]]:
     """The product of the primes up to TRIAL_BOUND, and those primes."""
-    # imported here: sieve imports this module
-    from .sieve import prime_sieve
-
     primes = prime_sieve(TRIAL_BOUND)
     return math.prod(primes), primes
 

@@ -1,12 +1,11 @@
-"""Prime sieving, the set of primes where the critical polynomial has a
-root (with its empirical density), and enumeration of the special
-squarefree set used by the diversity experiments.
+"""The set P_F of primes where the critical polynomial has a root (with
+its empirical density), and enumeration of the special squarefree set
+M_F(x) used by the diversity experiments.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -15,19 +14,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .algebra import AlgebraError, IntPoly, poly_discriminant
-from .factorization import has_root_mod_p
-
-
-def prime_sieve(limit: int) -> list[int]:
-    """All primes <= limit, by a sieve of Eratosthenes."""
-    if limit < 2:
-        raise ValueError("limit must be at least 2")
-    flags = bytearray([1]) * (limit + 1)
-    flags[0:2] = b"\x00\x00"
-    for i in range(2, math.isqrt(limit) + 1):
-        if flags[i]:
-            flags[i * i :: i] = bytes((limit - i * i) // i + 1)
-    return list(itertools.compress(range(limit + 1), flags))
+from .factorization import has_root_mod_p, prime_sieve
 
 
 @dataclass(frozen=True)
@@ -237,7 +224,10 @@ def enumerate_MF(sieve: ChebotarevSieve, params: DiversityParams) -> list[MFElem
                 break
             extend(m1 * p, chosen + (p,), i + 1)
 
-    extend(1, (), y_idx)
+    # every element's largest prime lies in [max(2, ceil(y)), prime_bound];
+    # when that range is empty, skip the walk, whose pruning test builds p**(k+1)
+    if params.prime_bound >= max(2, math.ceil(params.y)):
+        extend(1, (), y_idx)
     out.sort(key=lambda e: (e.m, e.primes))
     if not out:
         warnings.warn(

@@ -214,18 +214,12 @@ def witnesses_for_MF(
 # ---------------------------------------------------------------------------
 # property verification suites
 
-@dataclass(frozen=True)
-class PropertyCReport:
-    checked: int
-    violations: tuple[int, ...]  # the offending n values
-
-
 # candidate n per prime that verify_property_C checks
 _C_TRIALS = 10
 
 
-def verify_property_C(sieve: ChebotarevSieve, p: int) -> PropertyCReport:
-    """For n with p^2 | F(n), check that p || F(n+p), for p in P_F.  The
+def verify_property_C(sieve: ChebotarevSieve, p: int) -> tuple[int, ...]:
+    """The n with p^2 | F(n) but not p || F(n+p), for p in P_F.  The
     candidates are the first _C_TRIALS positive n among the Hensel lifts
     of the roots of F mod p, all simple since p does not divide disc(F),
     and their translates by p^2, root by root."""
@@ -237,10 +231,7 @@ def verify_property_C(sieve: ChebotarevSieve, p: int) -> PropertyCReport:
     for n in candidates:
         if F(n) % p2 != 0:
             raise LemmaViolation(f"Hensel lift {n} of a root mod {p} is not a root mod {p2}")
-    return PropertyCReport(
-        checked=len(candidates),
-        violations=tuple(n for n in candidates if not exact_divides(p, F(n + p))),
-    )
+    return tuple(n for n in candidates if not exact_divides(p, F(n + p)))
 
 
 def verify_property_D(sieve: ChebotarevSieve) -> tuple[int, ...]:

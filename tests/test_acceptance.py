@@ -198,7 +198,7 @@ def test_criterion_09_properties_CDE():
         sieve = build_PF(F, 10**4)
         c_viol = 0
         for p in sieve.primes_in_PF:
-            c_viol += len(verify_property_C(sieve, p).violations)
+            c_viol += len(verify_property_C(sieve, p))
         d_fail = verify_property_D(sieve)
         e_rep = verify_property_E(F, 1, 10**4)
         this_ok = (

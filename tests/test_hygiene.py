@@ -1,12 +1,14 @@
 """Source hygiene: every name a divlab or test module imports is used
 in it, every top-level function or class is referenced somewhere in the
 package other than its own body (a public one may instead be exported or
-traced by the benchmark), every name the package exports or
-the benchmark's tracer rebinds exists, `import divlab.cli` loads no
-layer but algebra, no package module reads the process environment or
-holds an `assert` statement, every package dataclass is frozen, and the
-CLI's table of the keys each run reads covers every key and every run
-and matches README's.
+traced by the benchmark), every name the package exports or the
+benchmark's tracer rebinds exists, and a traced one is one object in
+every module that binds its name, each layer imports only the layers
+below it (algebra < factorization < sieve < {witnesses, diversity} <
+cli), `import divlab.cli` loads no layer but algebra, no package module
+reads the process environment or holds an `assert` statement, every
+package dataclass is frozen, and the CLI's table of the keys each run
+reads covers every key and every run and matches README's.
 
 Stdlib only.  The package's __init__.py is exempt from the import check,
 since its imports are re-exports.
@@ -94,6 +96,50 @@ def unreferenced_public(sources: dict[str, str], exempt: set[str]) -> list[str]:
 
 def test_modules_found():
     assert len(MODULES) >= 6
+
+
+# the layers, lowest first: each imports only from the ranks before its
+# own, and two layers of one rank never import each other
+LAYER_ORDER = (("algebra",), ("factorization",), ("sieve",), ("witnesses", "diversity"), ("cli",))
+
+
+def upward_imports(sources: dict[str, str], order: tuple[tuple[str, ...], ...]) -> list[str]:
+    """`module -> target (line n)` for each relative import, at any
+    depth, whose target is not a layer of an earlier rank than the
+    importing module's."""
+    rank = {layer: i for i, group in enumerate(order) for layer in group}
+    out = []
+    for module, source in sorted(sources.items()):
+        for node in ast.walk(ast.parse(source)):
+            if not (isinstance(node, ast.ImportFrom) and node.level):
+                continue
+            targets = [node.module.split(".")[0]] if node.module else [alias.name for alias in node.names]
+            out += [
+                f"{module} -> {target} (line {node.lineno})"
+                for target in targets
+                if rank.get(target, len(order)) >= rank[module]
+            ]
+    return out
+
+
+def test_layers_import_downward():
+    assert sorted(layer for group in LAYER_ORDER for layer in group) == [p.stem for p in MODULES]
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert upward_imports(sources, LAYER_ORDER) == []
+
+
+def test_layer_detector():
+    order = (("low",), ("mid",), ("left", "right"), ("top",))
+    sources = {
+        "low": "def f():\n    from .mid import g\n",
+        "mid": "from .low import f\nfrom . import low\n",
+        "left": "from .right import h\nfrom .low.sub import f\n",
+        "right": "from . import stray\n",
+        "top": "import os\nfrom os import sep\nfrom .left import g\nfrom .right import h\n",
+    }
+    assert upward_imports(sources, order) == [
+        "left -> right (line 1)", "low -> mid (line 2)", "right -> stray (line 1)",
+    ]
 
 
 @pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
@@ -229,15 +275,22 @@ def traced_names() -> list[str]:
 
 def test_traced_names_resolve():
     # `perfbench/run.py --trace 1` rebinds each of these by name, and a
-    # missing one stops the traced run
+    # missing one stops the traced run.  It rebinds every module's
+    # binding that is the same object as the layer's, so a second
+    # definition under the name would run untraced
     names = traced_names()
     assert names
-    missing = []
+    modules = [importlib.import_module(f"divlab.{p.stem}") for p in MODULES]
+    missing, split = [], []
     for name in names:
         layer, fn = name.split(".")
-        if not hasattr(importlib.import_module(f"divlab.{layer}"), fn):
+        original = getattr(importlib.import_module(f"divlab.{layer}"), fn, None)
+        if original is None:
             missing.append(name)
+            continue
+        split += [f"{m.__name__}.{fn}" for m in modules if getattr(m, fn, original) is not original]
     assert missing == []
+    assert split == []
 
 
 def test_no_unreferenced_public_definitions():

@@ -2,6 +2,7 @@ import bisect
 import functools
 import math
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -262,6 +263,20 @@ class TestEnumerateMF:
         assert params.k == 1 and params.y > (10**6) ** 0.97
         with pytest.warns(UserWarning, match="empty"):
             assert enumerate_MF(sieve, params) == []
+
+    def test_empty_prime_range_is_not_walked(self):
+        # prime_bound = 1000 // 2**(10**7) = 0 proves the set empty; the
+        # walk's pruning test would build 2**(10**7 + 1) to find that out
+        params = DiversityParams(x=1000, k=10**7, y=2, window_lo=10, window_hi=1000)
+        sieve = build_PF(T, 1000)
+        tracemalloc.start()
+        try:
+            with pytest.warns(UserWarning, match="empty"):
+                assert enumerate_MF(sieve, params) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     def test_limit_must_cover_x(self, small_PF_quadratic):
         # prime_bound = 1000 // 5 = 200, past the fixture's limit 30

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import root_count_suite, shift_lemma_suite
 from divlab import witnesses
 from divlab.algebra import IntPoly
-from divlab.factorization import TRIAL_BOUND
+from divlab.factorization import _MR_LIMIT, TRIAL_BOUND
 from divlab.sieve import DiversityParams, MFElement, build_PF, enumerate_MF
 from divlab.witnesses import (
     CrtRoot,
@@ -250,13 +250,16 @@ class TestPrimitiveWitness:
 
 
 class TestPropertyC:
-    def test_identity_small(self):
-        rep = verify_property_C(build_PF(T, 10), 3)
-        assert rep.checked >= 1 and rep.violations == ()
+    def test_identity_small(self, monkeypatch):
+        sieve = build_PF(T, 10)
+        assert verify_property_C(sieve, 3) == ()
+        # the candidates are the positive lifts 9, 18, ... of the root 0
+        # mod 9; with every exact-division test failing, each comes back
+        monkeypatch.setattr(witnesses, "exact_divides", lambda m, value: False)
+        assert verify_property_C(sieve, 3) == tuple(range(9, 82, 9))
 
     def test_gaussian_five(self):
-        rep = verify_property_C(build_PF(T2P1, 10), 5)
-        assert rep.violations == ()
+        assert verify_property_C(build_PF(T2P1, 10), 5) == ()
 
     def test_rejects_discriminant_prime(self):
         with pytest.raises(PreconditionError):
@@ -322,6 +325,9 @@ class TestPropertyE:
     @example([1, 0], 1000, 550)
     # 100 + 100159963 = 10007 * 10009, a composite rest above 10^8
     @example([100159963], 1, 100)
+    # F(100) = 3317044064679887385962123, the least prime above _MR_LIMIT:
+    # a prime rest that no certificate reaches leaves n open
+    @example([3317044064679887385962123 - 100], 1, 100)
     def test_agrees_with_sympy(self, low, lead, n):
         import sympy
 
@@ -333,8 +339,10 @@ class TestPropertyE:
             return
         primes = sympy.factorint(abs(v))
         if rep.indeterminate == (n,):
-            # only a composite rest above TRIAL_BOUND leaves n open
-            assert sum(e for p, e in primes.items() if p > TRIAL_BOUND) >= 2
+            # only a composite rest above TRIAL_BOUND, or a prime rest at
+            # or above _MR_LIMIT, leaves n open
+            large = {p: e for p, e in primes.items() if p > TRIAL_BOUND}
+            assert sum(large.values()) >= 2 or max(large) >= _MR_LIMIT
             return
         assert rep.indeterminate == ()
         count = sum(1 for p in primes if 4 * p >= n)
