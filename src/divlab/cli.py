@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 from .algebra import (
     AlgebraError,
     CurveCover,
-    DegenerateCoverError,
     IntPoly,
     LemmaViolation,
     PolyParseError,
@@ -474,7 +473,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
-    except (DegenerateCoverError, AlgebraError) as e:
+    except AlgebraError as e:
         print(f"degenerate input: {e}", file=sys.stderr)
         return 2
     except LemmaViolation as e:

@@ -18,7 +18,7 @@ from .factorization import TRIAL_BOUND, factor_integer, factor_over_Z, is_irredu
 from .sieve import build_PF, default_epsilon
 
 
-class DegenerateFiberError(ValueError):
+class DegenerateFiberError(AlgebraError):
     """The specialized polynomial drops degree or vanishes."""
 
 

@@ -143,18 +143,19 @@ class DiversityParams:
         target = round(self.x) ** a
         if target <= 1:
             return 1
-        # bisect on lo**b < target <= hi**b; exact tests on each side of
-        # the float root first narrow the bracket to a few units at any x
-        # a sieve can reach
-        lo, hi = 1, 1 << (target.bit_length() // b + 1)
-        est = round(2 ** min(math.log2(target) / b, 1000))
-        for P in (est - 1, est + 1):
-            if lo < P < hi:
-                lo, hi = (lo, P) if P**b >= target else (P, hi)
-        while hi - lo > 1:
-            P = (lo + hi) // 2
-            lo, hi = (lo, P) if P**b >= target else (P, hi)
-        return hi
+        # integer Newton steps for the b-th root, seeded by the float root
+        # with all but its top 40 bits cleared: one step from any P >= 1
+        # lands at or above the floor of the real root (AM-GM), and from
+        # there each step falls until it reaches that floor
+        def step(P: int) -> int:
+            return ((b - 1) * P + target // P ** (b - 1)) // b
+
+        log_root = math.log2(target) / b
+        shift = max(0, math.floor(log_root) - 40)
+        P = step(math.ceil(2 ** (log_root - shift)) << shift)
+        while (Q := step(P)) < P:
+            P = Q
+        return P if P**b >= target else P + 1
 
 
 def default_epsilon(d: int) -> float:

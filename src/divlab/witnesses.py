@@ -8,25 +8,21 @@ D take F, disc(F) and P_F from the sieve; E's check only trial-divides F(n).
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .algebra import IntPoly, LemmaViolation, poly_discriminant
+from .algebra import AlgebraError, IntPoly, LemmaViolation, poly_discriminant
 from .factorization import _MR_LIMIT, TRIAL_BOUND, factor_integer, is_prime, roots_mod_p, trial_divide
 from .sieve import ChebotarevSieve, DiversityParams, MFElement
 
-# above this many root combinations, crt_root stops searching for the
-# minimal residue and takes the first one
-CRT_ENUMERATION_CAP = 10_000
-
-
-class PreconditionError(ValueError):
+class PreconditionError(AlgebraError):
     """A lemma hypothesis is violated by the inputs."""
 
 
-class NoRootError(ValueError):
+class NoRootError(AlgebraError):
     """F has no root modulo some prime divisor of m."""
 
     def __init__(self, p: int):
@@ -63,39 +59,41 @@ def exact_divides(m: int, value: int) -> bool:
     return math.gcd(m, value // m) == 1
 
 
-@dataclass(frozen=True)
-class CrtRoot:
-    n: int
-    minimal: bool  # False when the combination count exceeded the cap
-
-
-def crt_root(F: IntPoly, m: int) -> CrtRoot:
-    """Smallest n in [0, m) with m | F(n), combining one root choice per
-    prime divisor by the Chinese Remainder Theorem.  Minimality is over
-    all combinations while their number stays below the enumeration cap.
-    """
+def crt_root(F: IntPoly, m: int) -> int:
+    """Smallest n in [0, m) with m | F(n), over every combination of one
+    root per prime divisor, joined by the Chinese Remainder Theorem."""
     primes = _squarefree_primes(m)
     return _crt_root(primes, m, _root_table(F, primes))
 
 
-def _crt_root(primes: Sequence[int], m: int, roots: dict[int, list[int]]) -> CrtRoot:
+def _crt_root(primes: Sequence[int], m: int, roots: dict[int, list[int]]) -> int:
     """The n in [0, m) with n = r mod p for one root r mod each prime p of
     m are the sums of r * e_p mod m, with the CRT idempotents e_p = 1 mod
-    p, 0 mod m/p.  Under the cap, every residue is built prime by prime in
-    one list and the least taken; above it, the first combination in
-    product order, each prime's first root."""
-    combinations = 1
+    p, 0 mod m/p.  Meet in the middle: with A the sums over the first
+    half of the primes and B those over the rest, sorted, each a + b lies
+    in [0, 2m), so the least n at a given a is the lesser of a + B[0],
+    when that is below m, and a + b - m for the least b >= m - a."""
     for p in primes:
         if not roots[p]:
             raise NoRootError(p)
-        combinations *= len(roots[p])
-    basis = [m // p * pow(m // p, -1, p) for p in primes]
-    if combinations > CRT_ENUMERATION_CAP:
-        return CrtRoot(n=sum(roots[p][0] * e for p, e in zip(primes, basis)) % m, minimal=False)
-    residues = [0]
-    for p, e in zip(primes, basis):
-        residues = [(s + r * e) % m for s in residues for r in roots[p]]
-    return CrtRoot(n=min(residues), minimal=True)
+
+    def sums(part: Sequence[int]) -> list[int]:
+        residues = [0]
+        for p in part:
+            e = m // p * pow(m // p, -1, p)
+            residues = [(s + r * e) % m for s in residues for r in roots[p]]
+        return residues
+
+    half = len(primes) // 2
+    B = sorted(sums(primes[half:]))
+    least = m
+    for a in sums(primes[:half]):
+        i = bisect.bisect_left(B, m - a)
+        if i:
+            least = min(least, a + B[0])
+        if i < len(B):
+            least = min(least, a + B[i] - m)
+    return least
 
 
 def exact_divisor_shift(F: IntPoly, m: int, n: int) -> int:
@@ -142,7 +140,6 @@ class WitnessRecord:
     primes: tuple[int, ...]
     n_m: int
     shift_l: int
-    minimal_root: bool = True
 
     @property
     def omega(self) -> int:
@@ -164,8 +161,7 @@ def _witness(
     F: IntPoly, disc: int, primes: tuple[int, ...], m: int, roots: dict[int, list[int]],
     k: Optional[int], x: Optional[float],
 ) -> WitnessRecord:
-    root = _crt_root(primes, m, roots)
-    n0 = root.n if root.n > 0 else m
+    n0 = _crt_root(primes, m, roots) or m
     ell = _shift(F, disc, primes, m, n0)
     n_m = n0 + ell * m
     omega = len(primes)
@@ -175,9 +171,7 @@ def _witness(
         raise LemmaViolation(f"witness bound violated: {n_m} > {m}*({k}+2)")
     if x is not None and n_m > x:
         raise LemmaViolation(f"witness exceeds x: {n_m} > {x}")
-    return WitnessRecord(
-        m=m, primes=primes, n_m=n_m, shift_l=ell, minimal_root=root.minimal
-    )
+    return WitnessRecord(m=m, primes=primes, n_m=n_m, shift_l=ell)
 
 
 def recheck_witness(F: IntPoly, rec: WitnessRecord) -> bool:

@@ -119,7 +119,7 @@ def shift_lemma_suite(seed):
             skipped += 1
             continue
         m = math.prod(rng.sample(primes, omega))
-        n = crt_root(F, m).n or m
+        n = crt_root(F, m) or m
         try:
             max_shift = max(max_shift, exact_divisor_shift(F, m, n))
         except LemmaViolation:

@@ -466,6 +466,29 @@ class TestWitnessCommand:
         assert code == 3
         assert err == "invariant violation: no valid shift for m = 65\n"
 
+    def test_failed_lemma_hypothesis_exits_2(self, tmp_path, capsys):
+        # y <= k + 1 admits m = 42 = 2*3*7, where p_min(m) > omega(m) fails
+        code, _, err = run(
+            capsys, "witness", "--cover", "u^2 - t^3 - 3*t^2 + 5*t + 8", "--x", "1000",
+            "--mode", "override", "--k", "2", "--y", "2", "--window-lo", "40",
+            "--window-hi", "50", "--tail", "off", "--out", str(tmp_path),
+        )
+        assert code == 2
+        assert err == "degenerate input: no shift found and p_min(m) = 2 <= omega(m) = 3\n"
+
+    def test_witness_is_the_least_root_past_ten_thousand_combinations(self, tmp_path, capsys):
+        # F = T^8 - 512 has eight roots mod each prime of m: 32,768
+        # combinations, of which the first gives 79,893,833,914
+        code, _, _ = run(
+            capsys, "witness", "--cover", "2*u^4 - t^2*u + 3", "--x", "1e12",
+            "--mode", "override", "--k", "4", "--y", "70", "--window-lo", "131108790000",
+            "--window-hi", "131108791000", "--tail", "off", "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert read_csv(tmp_path / "witnesses.csv")[1:] == [
+            ["131108790809", "73*89*233*257*337", "7425842", "0", "greedy"],
+        ]
+
     def test_window_past_x_over_k_plus_two_is_config_error(self, tmp_path, capsys):
         code, _, err = run(
             capsys, "witness", "--cover", "u^2 + t^2 + 1", "--x", "1e6",

@@ -7,8 +7,9 @@ every module that binds its name, each layer imports only the layers
 below it (algebra < factorization < sieve < {witnesses, diversity} <
 cli), `import divlab.cli` loads no layer but algebra, no package module
 reads the process environment or holds an `assert` statement, every
-package dataclass is frozen, and the CLI's table of the keys each run
-reads covers every key and every run and matches README's.
+package dataclass is frozen, every package exception maps to an exit
+code, and the CLI's table of the keys each run reads covers every key
+and every run and matches README's.
 
 Stdlib only.  The package's __init__.py is exempt from the import check,
 since its imports are re-exports.
@@ -18,6 +19,7 @@ import argparse
 import ast
 import importlib
 import re
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -25,7 +27,8 @@ import pytest
 
 import divlab
 from conftest import fresh_cli_run
-from divlab.cli import _KEYS, _READS, build_parser
+from divlab.algebra import AlgebraError, LemmaViolation
+from divlab.cli import _KEYS, _READS, ConfigError, build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "divlab"
@@ -261,6 +264,42 @@ def test_frozen_detector():
         "class F:\n    pass\n"
     )
     assert unfrozen_dataclasses(source) == ["line 4: A", "line 7: B", "line 10: C"]
+
+
+def unmapped_exceptions(modules: list[types.ModuleType], bases: tuple[type, ...], exempt: set[str]) -> list[str]:
+    """`module.Name` for each exception class a module defines that
+    derives from none of bases, apart from the names in exempt."""
+    return [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name, obj in sorted(vars(module).items())
+        if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module.__name__
+        and not issubclass(obj, bases) and name not in exempt
+    ]
+
+
+def test_every_library_error_has_an_exit_code():
+    # main turns a ConfigError into exit 1, an AlgebraError into 2 and a
+    # LemmaViolation into 3; any other error would end in a traceback.
+    # PolyParseError reaches main only as the ConfigError _load_cover
+    # raises from it
+    modules = [importlib.import_module(f"divlab.{p.stem}") for p in MODULES]
+    bases = (ConfigError, AlgebraError, LemmaViolation)
+    assert unmapped_exceptions(modules, bases, {"PolyParseError"}) == []
+
+
+def test_exception_detector():
+    module = types.ModuleType("fake")
+    exec(
+        "from json import JSONDecodeError\n"
+        "class Base(ValueError): pass\n"
+        "class Good(Base): pass\n"
+        "class Bad(ValueError): pass\n"
+        "class Exempt(RuntimeError): pass\n"
+        "class Record: pass\n",
+        vars(module),
+    )
+    assert unmapped_exceptions([module], (module.Base,), {"Exempt"}) == ["fake.Bad"]
 
 
 def traced_names() -> list[str]:

@@ -234,6 +234,17 @@ class TestDiversityParams:
             assert enumerate_MF(sieve, params) == []
         assert time.perf_counter() - start < 1
 
+    def test_tail_at_a_large_x_is_fast(self):
+        # the root has about 1000 bits, far past the float's 53
+        params = DiversityParams(
+            x=1e301, k=1, y=5, window_lo=10, window_hi=1000, tail_exponent=Fraction(999, 1000)
+        )
+        start = time.perf_counter()
+        bound = params.tail_bound
+        assert time.perf_counter() - start < 3
+        target = round(1e301) ** 999
+        assert (bound - 1) ** 1000 < target <= bound**1000
+
 
 class TestEnumerateMF:
     def test_override_example(self, small_PF_quadratic):

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,10 +11,9 @@ from hypothesis import strategies as st
 from conftest import root_count_suite, shift_lemma_suite
 from divlab import witnesses
 from divlab.algebra import IntPoly
-from divlab.factorization import _MR_LIMIT, TRIAL_BOUND
+from divlab.factorization import _MR_LIMIT, TRIAL_BOUND, prime_sieve
 from divlab.sieve import DiversityParams, MFElement, build_PF, enumerate_MF
 from divlab.witnesses import (
-    CrtRoot,
     NoRootError,
     PreconditionError,
     WitnessRecord,
@@ -65,19 +65,34 @@ class TestRho:
             assert rho_F(T2P1, m) <= 2**omega
 
 
+@st.composite
+def root_tables(draw):
+    """{p: residues} for 1 to 5 distinct primes below 200, each with 1 to
+    min(p, 12) distinct residues mod p: up to 248,832 combinations."""
+    primes = draw(st.lists(st.sampled_from(prime_sieve(200)), min_size=1, max_size=5, unique=True))
+    return {
+        p: draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=min(p, 12), unique=True))
+        for p in primes
+    }
+
+
 class TestCrtRoot:
     def test_gaussian_65(self):
-        assert crt_root(T2P1, 65).n == 8
+        assert crt_root(T2P1, 65) == 8
 
     def test_identity(self):
-        assert crt_root(T, 30).n == 0
+        assert crt_root(T, 30) == 0
 
     def test_single_prime(self):
-        assert crt_root(T2P1, 13).n == 5
+        assert crt_root(T2P1, 13) == 5
 
     def test_no_root_names_prime(self):
         with pytest.raises(NoRootError) as ei:
             crt_root(T2P1, 15)
+        assert ei.value.p == 3
+        # 3 and 7 both have none, and 3 comes first
+        with pytest.raises(NoRootError) as ei:
+            crt_root(T2P1, 21)
         assert ei.value.p == 3
 
     def test_minimality_by_exhaustion(self):
@@ -100,20 +115,37 @@ class TestCrtRoot:
                 root = crt_root(F, m)
             except NoRootError:
                 continue
-            assert root.minimal
             brute = min(n for n in range(m) if F(n) % m == 0)
-            assert root.n == brute
+            assert root == brute
             combos = max(combos, rho_F(F, m))
         assert combos == 27
 
-    def test_above_the_cap_takes_the_first_combination(self, monkeypatch):
-        # the first product-order combination takes each prime's first
-        # root: 2 mod 5, 5 mod 13 (and 4 mod 17)
-        monkeypatch.setattr(witnesses, "CRT_ENUMERATION_CAP", 1)
-        assert crt_root(T2P1, 65) == CrtRoot(n=57, minimal=False)
-        assert crt_root(T2P1, 5 * 13 * 17) == CrtRoot(n=837, minimal=False)
-        monkeypatch.setattr(witnesses, "CRT_ENUMERATION_CAP", 4)
-        assert crt_root(T2P1, 65) == CrtRoot(n=8, minimal=True)
+    @settings(max_examples=100, deadline=None)
+    @given(root_tables())
+    # 10 * 11 * 12 * 12 * 11 = 174,240 combinations
+    @example({p: list(range(1, 2 * c, 2)) for p, c in ((101, 10), (103, 11), (107, 12), (109, 12), (113, 11))})
+    def test_least_over_every_combination(self, table):
+        # the residue sets need not be the roots of an F: _crt_root reads
+        # only the table.  The oracle joins the combinations prime by
+        # prime, n = s + M*((r - s)/M mod p), and takes the least
+        primes = sorted(table)
+        residues, M = [0], 1
+        for p in primes:
+            inv = pow(M, -1, p)
+            residues = [s + M * ((r - s) * inv % p) for s in residues for r in table[p]]
+            M *= p
+        assert witnesses._crt_root(primes, M, table) == min(residues)
+
+    def test_T8_minus_512(self):
+        # T^8 - 512 has eight roots mod each of these primes, so the
+        # 8-prime m has 16,777,216 combinations
+        F = IntPoly.of([-512, 0, 0, 0, 0, 0, 0, 0, 1])
+        primes = (73, 89, 233, 257, 337, 601, 881, 937)
+        assert all(rho_F(F, p) == 8 for p in primes)
+        assert crt_root(F, math.prod(primes[:5])) == 7425842
+        start = time.perf_counter()
+        assert crt_root(F, math.prod(primes)) == 1840864113772
+        assert time.perf_counter() - start < 0.1
 
 
 class TestExactDivisorShift:
