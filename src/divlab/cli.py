@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 config error, 2 mathematical degeneracy,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import math
 import os
@@ -18,7 +17,7 @@ import sys
 import warnings
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .algebra import (
     AlgebraError,
@@ -241,18 +240,12 @@ def _sieve_and_params(cfg: RunConfig, F: IntPoly) -> tuple[ChebotarevSieve, Dive
     return sieve, params
 
 
-@contextlib.contextmanager
-def _csv_writer(path: str, header: list[str]) -> Iterator:
-    """A csv writer on a new file at path, its header row written."""
+def _write_csv(path: str, header: list[str], rows: Iterable[Sequence]) -> None:
+    """A new CSV file at path: the header row, then rows."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        yield w
-
-
-def _write_csv(path: str, header: list[str], rows: Iterable[Sequence]) -> None:
-    with _csv_writer(path, header) as w:
         w.writerows(rows)
 
 
@@ -348,17 +341,15 @@ def cmd_diversity(cfg: RunConfig) -> int:
     census = run_census(cover, cfg.N, effort=cfg.budget, delta=cfg.delta, workers=cfg.workers)
     path = os.path.join(cfg.out, "census.csv")
     distinct = reducible = 0
-    with _csv_writer(path, ["n", "fiber_degree", "irreducible", "fingerprint", "new_field"]) as w:
-        for r in census.rows:  # each row is written as its fiber is decided
-            distinct += r.new_field
-            reducible += r.irreducible is False
-            w.writerow([
-                r.n,
-                r.fiber_degree,
-                "" if r.irreducible is None else str(r.irreducible).lower(),
-                r.fingerprint.render() if r.fingerprint is not None else "",
-                str(r.new_field).lower(),
-            ])
+    # no census field needs CSV quoting, so each row is one f-string
+    text = {None: "", True: "true", False: "false"}
+    os.makedirs(cfg.out or ".", exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("n,fiber_degree,irreducible,fingerprint,new_field\n")
+        for n, degree, irr, fp, new in census.rows:  # each row is written as its fiber is decided
+            distinct += new
+            reducible += irr is False
+            fh.write(f"{n},{degree},{text[irr]},{'' if fp is None else fp.render()},{text[new]}\n")
     print(f"N = {census.N}")
     print(f"distinct_lower_bound = {distinct}")
     print(f"reducible_count = {reducible}")

@@ -10,8 +10,7 @@ import contextlib
 import functools
 import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .algebra import AlgebraError, CurveCover, IntPoly, critical_polynomial, discriminant_in_u, poly_discriminant
 from .factorization import TRIAL_BOUND, factor_integer, factor_over_Z, is_irreducible_mod_p, prime_sieve
@@ -87,8 +86,7 @@ def _certified(tables: dict[int, list[bool]], ns: range) -> list[bool]:
     return certified
 
 
-@dataclass(frozen=True)
-class FieldFingerprint:
+class FieldFingerprint(NamedTuple):
     """Isomorphism-invariant stand-in for the field defined by an
     irreducible polynomial: the primes appearing to an odd power in its
     discriminant.  Shifting the generator changes the discriminant by a
@@ -98,7 +96,7 @@ class FieldFingerprint:
     complete: bool
 
     def render(self) -> str:
-        body = ";".join(str(p) for p in self.odd_valuation_primes)
+        body = ";".join(map(str, self.odd_valuation_primes))
         return body + ("" if self.complete else "?")
 
 
@@ -107,31 +105,31 @@ _DELTA_SIEVE_LIMIT = 10_000
 
 
 def fingerprint(fpoly: IntPoly, effort: int = 1_000_000) -> FieldFingerprint:
-    """Odd-valuation primes of disc(fpoly).  An unfactored cofactor that
-    is a perfect square cannot change any parity; otherwise the
-    fingerprint is marked incomplete."""
-    return _fingerprint(poly_discriminant(fpoly), [], effort)
-
-
-def _fingerprint(disc: int, primes: Sequence[int], effort: int) -> FieldFingerprint:
-    """The fingerprint of disc, given some primes (repeats allowed): their
-    valuations by exact division, factor_integer on what they leave."""
+    """Odd-valuation primes of disc(fpoly), from factor_integer on the
+    whole discriminant (see _fingerprint)."""
+    disc = poly_discriminant(fpoly)
     if disc == 0:
         raise AlgebraError("zero discriminant: polynomial is not separable")
-    odd = []
-    for p in primes:
-        e = 0
-        while disc % p == 0:
-            disc //= p
-            e += 1
-        if e % 2:
-            odd.append(p)
-    complete = True
-    if abs(disc) != 1:
-        fact = factor_integer(disc, effort=effort)
-        odd += [p for p, e in fact.factors if e % 2 == 1]
-        complete = math.isqrt(fact.cofactor) ** 2 == fact.cofactor
-    return FieldFingerprint(odd_valuation_primes=tuple(sorted(odd)), complete=complete)
+    return _fingerprint((), (disc,), effort)
+
+
+def _fingerprint(primes: Sequence[int], values: Iterable[int], effort: int, unsplit: int = 1) -> FieldFingerprint:
+    """The fingerprint of a discriminant given in parts: up to sign and a
+    square, it is prod(primes) * prod(values) * unsplit, where the parts
+    may share primes.  Its odd-valuation primes are those that occur an
+    odd number of times among primes and the odd-exponent primes of
+    factor_integer(v) for each v in values.  Every cofactor that
+    factor_integer leaves joins unsplit; when their product is a perfect
+    square it cannot change any parity, otherwise the fingerprint is
+    marked incomplete."""
+    for v in values:
+        fact = factor_integer(v, effort=effort)
+        primes = [*primes, *(p for p, e in fact.factors if e % 2)]
+        unsplit *= fact.cofactor
+    odd = set(primes)
+    if len(odd) < len(primes):
+        odd = {p for p in odd if primes.count(p) % 2}
+    return FieldFingerprint(tuple(sorted(odd)), math.isqrt(unsplit) ** 2 == unsplit)
 
 
 def eta_exponent(d: int, delta: float) -> float:
@@ -144,8 +142,7 @@ def eta_exponent(d: int, delta: float) -> float:
     return delta * default_epsilon(d) / 2.0
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     n: int
     fiber_degree: int
     irreducible: Optional[bool]  # None for degenerate/skipped fibers
@@ -153,8 +150,7 @@ class CensusRow:
     new_field: bool
 
 
-@dataclass(frozen=True)
-class DiversityCensus:
+class DiversityCensus(NamedTuple):
     """The census of the fibers n = 1..N.  eta is fixed before the walk;
     rows is an iterator that decides each fiber as it is read, in n
     order, and can be read once: tuple(census.rows) holds them all.
@@ -200,14 +196,18 @@ def _linear_sieves(linear: Iterable[IntPoly], N: int) -> tuple[_LinearSieve, ...
     return tuple(sieves)
 
 
-def _sieved_primes(known: tuple[int, ...], sieves: tuple[_LinearSieve, ...], ns: range) -> list[list[int]]:
-    """For each n in ns, the known primes plus the primes of a*n + b for
-    each linear factor a*t + b in sieves (see _linear_sieves): a prime p of
-    its roots divides exactly the a*n + b with n = -b/a mod p.  What is
-    left of |a*n + b| above 1 is prime below (limit + 1)^2, else it stays
-    in the discriminant for factor_integer.  A zero a*n + b gets nothing:
-    that fiber's discriminant is zero, so it is reducible."""
+def _sieved_primes(known: tuple[int, ...], sieves: tuple[_LinearSieve, ...],
+                   ns: range) -> tuple[list[list[int]], list[tuple[int, ...]]]:
+    """For each n in ns, (primes, rests): the known primes plus the primes
+    that divide a*n + b to an odd power, for each linear factor a*t + b in
+    sieves (see _linear_sieves), and what they leave of |a*n + b| for
+    factor_integer.  A prime p of its roots divides exactly the a*n + b
+    with n = -b/a mod p, which it divides to exhaustion.  What is left
+    above 1 is prime below (limit + 1)^2 and joins primes; above, it
+    joins rests.  A zero a*n + b gets nothing: that fiber's discriminant
+    is zero, so it is reducible."""
     found = [list(known) for _ in ns]
+    rests: list[tuple[int, ...]] = [()] * len(ns)
     for h, limit, roots in sieves:
         b, a = h.coeffs
         rest = [abs(a * n + b) for n in ns]
@@ -217,55 +217,85 @@ def _sieved_primes(known: tuple[int, ...], sieves: tuple[_LinearSieve, ...], ns:
                     v, rem = divmod(rest[i], p)
                     if rem:
                         raise AlgebraError(f"sieve: {p} does not divide {h} at t = {ns[i]}")
+                    odd = True
                     while v % p == 0:
                         v //= p
+                        odd = not odd
                     rest[i] = v
-                    found[i].append(p)
-        for primes, v in zip(found, rest):
-            if v > 1 and math.isqrt(v) <= limit:
-                primes.append(v)
-    return found
+                    if odd:
+                        found[i].append(p)
+        for i, v in enumerate(rest):
+            if v > 1:
+                if math.isqrt(v) <= limit:
+                    found[i].append(v)
+                else:
+                    rests[i] += (v,)
+    return found, rests
 
 
-def _fiber_discriminant(coeffs: Sequence[int], Dn: int) -> int:
-    """disc(f) for f = g(n, u)/c, c = gcd(coeffs), from the u-coefficients
-    of g(n, u) (leading one nonzero) and Dn = D(n): D(n)/c^(2nu-2), exact
+def _column(h: IntPoly, ns: range) -> list[int]:
+    """h(n) for each n in ns, by Horner's rule one coefficient at a time
+    across the block."""
+    col = [h.coeffs[-1] if h.coeffs else 0] * len(ns)
+    for a in reversed(h.coeffs[:-1]):
+        col = [v * n + a for v, n in zip(col, ns)]
+    return col
+
+
+def _block_facts(cover: CurveCover, D: IntPoly, known: tuple[int, ...], sieves: tuple[_LinearSieve, ...],
+                 nonlinear: tuple[IntPoly, ...], ns: range) -> tuple[list, list[list[int]], list[tuple[int, ...]]]:
+    """For each fiber n in ns, (disc, primes, values): disc(f) for f =
+    g(n, u)/c, c the gcd of the u-coefficients of g(n, u), or None where
+    lc_u(n) = 0 (a degenerate fiber); and the primes and values of
+    _fingerprint.  g's u-coefficients and D = disc_u(g) are evaluated
+    across the block (see _column).  disc(f) = D(n)/c^(2nu-2), exact
     since the discriminant is homogeneous of degree 2nu-2 in the
-    coefficients and f keeps degree nu.  A remainder means D is not disc_u."""
-    disc, rem = divmod(Dn, math.gcd(*coeffs) ** (2 * len(coeffs) - 4))
-    if rem:
-        raise AlgebraError(f"D(n) = {Dn} is not divisible by c^(2nu-2): D is not disc_u of the cover")
-    return disc
+    coefficients and f keeps degree nu; a remainder means D is not
+    disc_u.  As 2nu-2 is even, disc(f) has the odd-valuation primes of
+    D(n): those of D's content (known) and of its factors of odd
+    multiplicity at n, the linear ones sieved (see _sieved_primes), the
+    nonlinear ones evaluated."""
+    cols = [_column(h, ns) for h in cover.coeffs_u]
+    power = 2 * cover.nu - 2
+    discs: list[Optional[int]] = []
+    for lc, c, Dn in zip(cols[-1], map(math.gcd, *cols), _column(D, ns)):
+        disc, rem = divmod(Dn, c ** power) if lc else (None, 0)
+        if rem:
+            raise AlgebraError(f"D(n) = {Dn} is not divisible by c^(2nu-2): D is not disc_u of the cover")
+        discs.append(disc)
+    del cols  # freed before the sieve builds its lists, to keep the peak low
+    primes, values = _sieved_primes(known, sieves, ns)
+    for h in nonlinear:
+        values = [rest + (v,) for rest, v in zip(values, _column(h, ns))]
+    return discs, primes, values
 
 
-def _census_row(cover: CurveCover, D: IntPoly, effort: int, n: int, known: Sequence[int],
-                certified: bool) -> tuple[int, Optional[bool], Optional[FieldFingerprint]]:
-    """(fiber_degree, irreducible, fingerprint) for fiber n, given
-    D = discriminant_in_u(cover), some primes of its discriminant (see
-    _sieved_primes) and its residue-table verdict (see _certified).  The
-    u-coefficients of g(n, u) are evaluated once: a zero leading one is a
-    degenerate fiber, (-1, None, None), and D(n) gives the discriminant
-    (see _fiber_discriminant), so no fiber needs a resultant.  Only a
-    fiber of degree >= 3 that no table certifies builds fiber_poly, for
-    the routes of is_fiber_irreducible.  An irreducible fiber is
-    fingerprinted."""
-    coeffs = [h(n) for h in cover.coeffs_u]
-    if coeffs[-1] == 0:
+def _census_row(cover: CurveCover, effort: int, unsplit: int, n: int, disc: Optional[int], primes: list[int],
+                values: tuple[int, ...], certified: bool) -> tuple[int, Optional[bool], Optional[FieldFingerprint]]:
+    """(fiber_degree, irreducible, fingerprint) for fiber n, given its
+    disc, primes and values (see _block_facts) and its residue-table
+    verdict (see _certified).  A disc of None is a degenerate fiber,
+    (-1, None, None).  Only a fiber of degree >= 3 that no table
+    certifies builds fiber_poly, for the routes of is_fiber_irreducible.
+    An irreducible fiber is fingerprinted from its primes and values,
+    with unsplit, the cofactor factor_integer left of D's content (see
+    _fingerprint)."""
+    if disc is None:
         return -1, None, None
-    disc = _fiber_discriminant(coeffs, D(n))
     irr = certified or _irreducible(cover.nu, disc, functools.partial(fiber_poly, cover, n))
-    return cover.nu, irr, _fingerprint(disc, known, effort) if irr else None
+    return cover.nu, irr, _fingerprint(primes, values, effort, unsplit) if irr else None
 
 
-def _walk(row: Callable, known: tuple[int, ...], sieves: tuple[_LinearSieve, ...],
-          tables: dict[int, list[bool]], N: int, workers: int) -> Iterator[CensusRow]:
+def _walk(row: Callable, facts: Callable[[range], tuple], tables: dict[int, list[bool]], N: int,
+          workers: int) -> Iterator[CensusRow]:
     """The rows of fibers 1..N in n order.  Each block of _CENSUS_BLOCK
-    fibers is sieved and certified, then mapped through row (on one pool
-    of worker processes for the whole run when workers > 1), and each
-    verdict is counted as it arrives: a complete fingerprint is new when
-    no complete one before it has its primes, a partial one only when no
-    fingerprint before it, complete or partial, has its known primes.
-    Only those primes are kept from fiber to fiber."""
+    fibers gets its facts (see _block_facts) and residue-table verdicts
+    (see _certified), then is mapped through row (on one pool of worker
+    processes for the whole run when workers > 1), and each verdict is
+    counted as it arrives: a complete fingerprint is new when no complete
+    one before it has its primes, a partial one only when no fingerprint
+    before it, complete or partial, has its known primes.  Only those
+    primes are kept from fiber to fiber."""
     complete_seen: set[tuple[int, ...]] = set()
     partial_seen: set[tuple[int, ...]] = set()
     with contextlib.ExitStack() as stack:
@@ -282,9 +312,8 @@ def _walk(row: Callable, known: tuple[int, ...], sieves: tuple[_LinearSieve, ...
         for lo in range(1, N + 1, _CENSUS_BLOCK):
             ns = range(lo, min(lo + _CENSUS_BLOCK, N + 1))
             # the loop holds the block's lists, so they are freed when it
-            # ends, before the next block is sieved
-            for n, (degree, irr, fp) in zip(ns, mapped(row, ns, _sieved_primes(known, sieves, ns),
-                                                       _certified(tables, ns))):
+            # ends, before the next block is evaluated
+            for n, (degree, irr, fp) in zip(ns, mapped(row, ns, *facts(ns), _certified(tables, ns))):
                 new = False
                 if irr:
                     key = fp.odd_valuation_primes
@@ -304,14 +333,15 @@ def run_census(cover: CurveCover, N: int, *, effort: int = 1_000_000, delta: Opt
     critical_polynomial(cover) and delta (measured on F, as delta_hat of
     build_PF(F, 10^4), unless given), so a degenerate cover raises here.
     Then each fact is computed once per run: D = disc_u(g), whose value
-    at n gives fiber n's discriminant (see _census_row); D's factors
-    over Z, so factor_integer sees only what the primes of its content
-    and linear factors leave (see _linear_sieves); and one residue table
-    per prime below 60, which certifies most fibers of degree >= 3
-    irreducible from n mod p alone (see _certified).  effort bounds
-    factor_integer's rho on what the primes leave of each discriminant,
-    and workers > 1 runs the fibers on that many worker processes, with
-    the same rows."""
+    at n gives fiber n's discriminant (see _block_facts); D = content *
+    prod(h_i^e_i) over Z, of which a fingerprint needs only the content's
+    primes of odd exponent and the factors h_i of odd e_i, the linear ones
+    sieved (see _linear_sieves); and one residue table per prime below
+    60, which certifies most fibers of degree >= 3 irreducible from n mod
+    p alone (see _certified).  effort bounds factor_integer's rho on the
+    content, on the values h(n) of the nonlinear factors and on what the
+    sieve leaves of the linear ones, and workers > 1 runs the fibers on
+    that many worker processes, with the same rows."""
     if N < 10:
         raise ValueError("census needs N >= 10")
     F = critical_polynomial(cover)
@@ -320,7 +350,10 @@ def run_census(cover: CurveCover, N: int, *, effort: int = 1_000_000, delta: Opt
     eta = eta_exponent(F.degree, delta)
     D = discriminant_in_u(cover)
     content, factors = factor_over_Z(D)
-    known = factor_integer(content, effort=effort).primes
-    sieves = _linear_sieves((h for h, _ in factors if h.degree == 1), N)
-    row = functools.partial(_census_row, cover, D, effort)
-    return DiversityCensus(N=N, eta=eta, rows=_walk(row, known, sieves, _residue_tables(cover), N, workers))
+    fact = factor_integer(content, effort=effort)
+    known = tuple(p for p, e in fact.factors if e % 2)
+    odd = [h for h, e in factors if e % 2]
+    sieves = _linear_sieves((h for h in odd if h.degree == 1), N)
+    facts = functools.partial(_block_facts, cover, D, known, sieves, tuple(h for h in odd if h.degree > 1))
+    row = functools.partial(_census_row, cover, effort, fact.cofactor)
+    return DiversityCensus(N=N, eta=eta, rows=_walk(row, facts, _residue_tables(cover), N, workers))

@@ -124,7 +124,7 @@ def _shift(F: IntPoly, disc: int, primes: Sequence[int], m: int, n: int) -> int:
     # itself is well defined without it
     if primes[0] <= omega:
         raise PreconditionError(
-            f"no shift found and p_min(m) = {primes[0]} <= omega(m) = {omega}"
+            f"no shift found for m = {m}: p_min(m) = {primes[0]} <= omega(m) = {omega}"
         )
     raise LemmaViolation(
         f"no exact-divisor shift for m = {m}, n = {n} despite valid hypotheses"

@@ -474,7 +474,7 @@ class TestWitnessCommand:
             "--window-hi", "50", "--tail", "off", "--out", str(tmp_path),
         )
         assert code == 2
-        assert err == "degenerate input: no shift found and p_min(m) = 2 <= omega(m) = 3\n"
+        assert err == "degenerate input: no shift found for m = 42: p_min(m) = 2 <= omega(m) = 3\n"
 
     def test_witness_is_the_least_root_past_ten_thousand_combinations(self, tmp_path, capsys):
         # F = T^8 - 512 has eight roots mod each prime of m: 32,768
@@ -652,6 +652,19 @@ class TestDiversityCommand:
         assert code == 0
         assert hashlib.sha256((tmp_path / "census.csv").read_bytes()).hexdigest() == csv_digest
         assert hashlib.sha256(out.replace(str(tmp_path), "<out>").encode()).hexdigest() == out_digest
+
+    def test_an_unsplit_content_leaves_every_fingerprint_incomplete(self, tmp_path, capsys):
+        # D = 4 * 1000003 * 1000033 * t, and a rho budget of 1 cannot split
+        # the content: every fingerprint is partial.  census.csv as
+        # recorded when each fiber's whole discriminant was factored
+        code, _, _ = run(capsys, "diversity", "--cover", "u^2 - 1000003*1000033*t", "--N", "30",
+                         "--budget", "1", "--out", str(tmp_path))
+        assert code == 0
+        rows = read_csv(tmp_path / "census.csv")
+        assert rows[2] == ["2", "2", "true", "2?", "true"]
+        assert all(row[3].endswith("?") for row in rows[1:])
+        assert hashlib.sha256((tmp_path / "census.csv").read_bytes()).hexdigest() == (
+            "4a6a27e60705b4f6a25b6b59cb1e2af1aa0c66fd48ae7bca6a17d4cbd6b92d79")
 
     @pytest.mark.parametrize("cover, message", [
         ("u^2 - 2*t*u + t^2", "cover is not squarefree in u over Q(t)"),

@@ -39,17 +39,22 @@ u = sympy.Symbol("u")
 
 
 def census_rows(cover, N):
-    """The census's (fiber_degree, irreducible, None) for n = 1..N:
-    residue tables, then the degree routes.  Needs no critical value, so
-    any cover runs.  No caller reads a fingerprint, so _fingerprint is
+    """The census's (fiber_degree, irreducible, None) for n = 1..N, one
+    block at a time: discriminants from the block's columns, residue
+    tables, then the degree routes.  Needs no critical value, so any
+    cover runs.  No caller reads a fingerprint, so _fingerprint is
     stubbed out: at N = 10^6 it would make the walk about eight times
     slower."""
-    ns = range(1, N + 1)
     D = discriminant_in_u(cover)
+    rows = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(diversity, "_fingerprint", lambda *args: None)
-        return [diversity._census_row(cover, D, 1, n, (), cert)
-                for n, cert in zip(ns, certified_fibers(cover, ns))]
+        for lo in range(1, N + 1, BLOCK):
+            ns = range(lo, min(lo + BLOCK, N + 1))
+            discs, _, _ = diversity._block_facts(cover, D, (), (), (), ns)
+            rows += [diversity._census_row(cover, 1, 1, n, disc, [], (), cert)
+                     for n, disc, cert in zip(ns, discs, certified_fibers(cover, ns))]
+    return rows
 
 
 def certified_fibers(cover, ns):
@@ -149,21 +154,34 @@ def linear_covers(draw):
     return CurveCover.of([c * content for c in cols])
 
 
+@st.composite
+def square_factor_covers(draw):
+    """u^2 - a*b^2 with a of degree <= 2 and b of degree 1 or 2, small
+    signed coefficients: D = 4*a*b^2 has the repeated factor b, and a
+    may share a factor with b or be a square itself."""
+    coeff = st.integers(-6, 6)
+    a = IntPoly.of(draw(st.lists(coeff, min_size=1, max_size=3)))
+    b = IntPoly.of(draw(st.lists(coeff, min_size=2, max_size=3)))
+    assume(not a.is_zero and b.degree >= 1)
+    return CurveCover.of([-(a * b * b), IntPoly.of([]), IntPoly.of([1])])
+
+
 class TestFiberPipeline:
     @settings(max_examples=150, deadline=None)
     @given(random_covers())
     def test_census_discriminants_match_the_resultant(self, cover):
-        # the census reads every fiber's discriminant off D = disc_u(g) as
+        # the census reads every fiber's discriminant off the block's
+        # columns of g's u-coefficients and of D = disc_u(g), as
         # D(n)/c^(2nu-2), whether a residue table certifies the fiber or
-        # not; each must equal the resultant-based one.  The fibers no
-        # table certifies reach the degree routes with fiber_poly's
-        # polynomial, of degree nu
-        discs, reached = [], []
-        fiber_discriminant, irreducible = diversity._fiber_discriminant, diversity._irreducible
-
-        def recorded(coeffs, Dn):
-            discs.append(fiber_discriminant(coeffs, Dn))
-            return discs[-1]
+        # not; each must equal the resultant-based one, and a degenerate
+        # fiber gets None.  The fibers no table certifies reach the degree
+        # routes with fiber_poly's polynomial, of degree nu
+        ns = range(1, 61)
+        live = [n for n in ns if cover.lc_u(n) != 0]
+        discs, _, _ = diversity._block_facts(cover, discriminant_in_u(cover), (), (), (), ns)
+        assert discs == [poly_discriminant(fiber_poly(cover, n)) if n in live else None for n in ns]
+        reached, passed = [], []
+        irreducible, row = diversity._irreducible, diversity._census_row
 
         def checked(degree, disc, fiber):
             f = fiber()
@@ -172,27 +190,39 @@ class TestFiberPipeline:
             reached.append(f)
             return irreducible(degree, disc, lambda: f)
 
+        def recorded(cover, effort, unsplit, n, disc, *args):
+            passed.append(disc)
+            return row(cover, effort, unsplit, n, disc, *args)
+
+        certified = certified_fibers(cover, ns)
+        uncertified = [fiber_poly(cover, n) for n in live if not certified[n - 1]]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(diversity, "_fiber_discriminant", recorded)
             mp.setattr(diversity, "_irreducible", checked)
             rows = census_rows(cover, 60)
-        live = [n for n in range(1, 61) if cover.lc_u(n) != 0]
-        certified = certified_fibers(cover, range(1, 61))
-        assert discs == [poly_discriminant(fiber_poly(cover, n)) for n in live]
-        assert reached == [fiber_poly(cover, n) for n in live if not certified[n - 1]]
-        assert [degree for degree, _, _ in rows] == [cover.nu if n in live else -1 for n in range(1, 61)]
+            assert reached == uncertified
+            # the walk hands each row the same discriminant
+            reached.clear()
+            mp.setattr(diversity, "_census_row", recorded)
+            try:
+                tuple(run_census(cover, 60, effort=2000, delta=1.0).rows)
+            except DegenerateCoverError:
+                pass
+            else:
+                assert passed == discs and reached == uncertified
+        assert [degree for degree, _, _ in rows] == [cover.nu if n in live else -1 for n in ns]
 
     @pytest.mark.parametrize("certified", [False, True])
-    def test_a_wrong_discriminant_raises(self, certified):
+    def test_a_wrong_discriminant_raises(self, monkeypatch, certified):
         # g = t*u^2 - 2*t has c = n, so D(n) = 8n^2 must divide by c^2;
-        # D + 1 does not at n = 2, and a fiber a table certifies is
-        # checked all the same
+        # D + 1 does not at n = 2, and a census whose residue tables
+        # certify every fiber checks it all the same
         cover = parse_cover("t*u^2 - 2*t")
         D = discriminant_in_u(cover)
         assert D == IntPoly.of([0, 0, 8])
+        monkeypatch.setattr(diversity, "discriminant_in_u", lambda cover: D + IntPoly.of([1]))
+        monkeypatch.setattr(diversity, "_certified", lambda tables, ns: [certified] * len(ns))
         with pytest.raises(AlgebraError, match="not divisible"):
-            for n in range(1, 11):
-                diversity._census_row(cover, D + IntPoly.of([1]), None, n, (), certified)
+            tuple(run_census(cover, 10, delta=1.0).rows)
 
     def test_fiber_poly_only_for_the_fibers_no_table_certifies(self, monkeypatch):
         # on u^3 - t*u - t at N = 2200, exactly 3 fibers are irreducible
@@ -574,29 +604,29 @@ class TestLinearSieve:
     @pytest.mark.parametrize("N", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7])
     def test_blocks_are_sieved_as_one_range(self, N):
         # D = t^2*(4t - 27): two linear factors, one with a > 1.  The
+        # census sieves only 4t - 27, of odd multiplicity, but the sieve
+        # is checked on both, so t's even exponents are read too.  The
         # limits come from the whole range 1..N, so each block gives every
-        # fiber the primes that one call over the whole range gives it:
-        # the primes up to the limit of each value, then what they leave
-        # when that is a prime below (limit + 1)^2
+        # fiber the primes and rests that one call over the whole range
+        # gives it: the primes up to the limit of each value that divide it
+        # to an odd power, then what they leave, as a prime when below
+        # (limit + 1)^2
         content, factors = factor_over_Z(discriminant_in_u(parse_cover("u^3 - t*u - t")))
-        linear = [h for h, _ in factors if h.degree == 1]
-        assert (content, linear) == (1, [IntPoly.of([-27, 4]), IntPoly.of([0, 1])])
-        sieves = diversity._linear_sieves(linear, N)
+        assert (content, factors) == (1, [(IntPoly.of([-27, 4]), 1), (IntPoly.of([0, 1]), 2)])
+        sieves = diversity._linear_sieves([h for h, _ in factors], N)
         assert [limit for _, limit, _ in sieves] == [math.isqrt(4 * N - 27), math.isqrt(N)]
         whole = diversity._sieved_primes((), sieves, range(1, N + 1))
-        blocked = [primes for lo in range(1, N + 1, BLOCK)
-                   for primes in diversity._sieved_primes((), sieves, range(lo, min(lo + BLOCK, N + 1)))]
-        assert blocked == whole
-        for n, primes in zip(range(1, N + 1), whole):
+        blocks = [diversity._sieved_primes((), sieves, range(lo, min(lo + BLOCK, N + 1)))
+                  for lo in range(1, N + 1, BLOCK)]
+        assert tuple(sum(part, []) for part in zip(*blocks)) == whole
+        for n, primes, rests in zip(range(1, N + 1), *whole):
             want = []
             for h, limit, _ in sieves:
-                small = [p for p in sorted(sympy.factorint(abs(h(n)))) if p <= limit]
-                rest = abs(h(n))
-                for p in small:
-                    while rest % p == 0:
-                        rest //= p
-                want += small + ([rest] if rest > 1 and math.isqrt(rest) <= limit else [])
-            assert primes == want
+                powers = sympy.factorint(abs(h(n)))
+                want += [p for p in sorted(powers) if p <= limit and powers[p] % 2]
+                rest = math.prod(p**e for p, e in powers.items() if p > limit)
+                want += [rest] if rest > 1 else []
+            assert (primes, rests) == (want, ())
 
     @pytest.mark.parametrize("constant, effort", [(10**18, 10**6), (10**30, 2000)])
     def test_a_large_constant_term_keeps_the_sieve_at_the_trial_bound(self, monkeypatch, constant, effort):
@@ -613,11 +643,69 @@ class TestLinearSieve:
                                                              for n in range(1, 13)]
 
     def test_the_sieve_runs_once_per_linear_factor_at_any_worker_count(self, monkeypatch):
-        # D = t^2*(4t - 27): two linear factors, sieved once over n = 1..N
-        # and handed to the workers chunk by chunk
+        # D = t^2*(4t - 27): 4t - 27, of odd multiplicity, is sieved once
+        # over n = 1..N and handed to the workers chunk by chunk; t, of
+        # multiplicity 2, is not sieved at all
         limits = []
         sieve = diversity.prime_sieve
         monkeypatch.setattr(diversity, "prime_sieve", lambda limit: limits.append(limit) or sieve(limit))
         rows = tuple(run_census(parse_cover("u^3 - t*u - t"), 300, workers=2, delta=1.0).rows)
-        assert sorted(limits) == [math.isqrt(300), math.isqrt(4 * 300 - 27)]
+        assert limits == [math.isqrt(4 * 300 - 27)]
         assert rows == tuple(run_census(parse_cover("u^3 - t*u - t"), 300, delta=1.0).rows)
+
+
+def odd_exponent_primes(value):
+    """The primes dividing the nonzero value to an odd power, by sympy."""
+    return tuple(sorted(p for p, e in sympy.factorint(abs(value)).items() if e % 2))
+
+
+class TestOddPart:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(square_factor_covers(), random_covers(), linear_covers()))
+    @example(parse_cover("u^2 - t^5 - 2*t^3 - t"))  # D = 4t(t^2 + 1)^2
+    @example(parse_cover("u^3 - t*u - t"))  # D = t^2(4t - 27)
+    def test_complete_fingerprints_are_the_odd_exponent_primes(self, cover):
+        # the census reads a fingerprint off D's content and its factors of
+        # odd multiplicity, and skips those of even multiplicity; every
+        # complete one must be what sympy finds in the fiber's discriminant
+        try:
+            rows = tuple(run_census(cover, 60, effort=2000, delta=1.0).rows)
+        except DegenerateCoverError:
+            assume(False)
+        for row in rows:
+            if row.fingerprint is not None and row.fingerprint.complete:
+                disc = poly_discriminant(fiber_poly(cover, row.n))
+                assert row.fingerprint.odd_valuation_primes == odd_exponent_primes(disc)
+
+    def test_a_factor_of_even_multiplicity_is_neither_sieved_nor_factored(self, monkeypatch):
+        # u^2 - t(t^2 + 1)^2: D = 4t(t^2 + 1)^2, so the fingerprint is the
+        # odd part of n, which the sieve reads off t; the content 4 is
+        # factored once and no fiber calls factor_integer or rho
+        cover = parse_cover("u^2 - t^5 - 2*t^3 - t")
+        assert factor_over_Z(discriminant_in_u(cover)) == (4, [(IntPoly.of([0, 1]), 1), (IntPoly.of([1, 0, 1]), 2)])
+        factored, rho = [], []
+        factor, brent = diversity.factor_integer, factorization._brent_rho
+        monkeypatch.setattr(diversity, "factor_integer", lambda v, **kw: factored.append(v) or factor(v, **kw))
+        monkeypatch.setattr(factorization, "_brent_rho", lambda n, effort: rho.append(n) or brent(n, effort))
+        rows = tuple(run_census(cover, 20000).rows)
+        assert (factored, rho) == ([4], [])
+        assert census_counts(rows)[0] == 12159
+        assert all(r.fingerprint.complete for r in rows if r.fingerprint is not None)
+        assert rows[11].fingerprint.odd_valuation_primes == (3,)  # n = 12 = 2^2 * 3
+
+    def test_the_contents_unsplit_cofactor_leaves_every_fingerprint_incomplete(self):
+        # D = 4 * 1000003 * 1000033 * t: at effort 1, rho cannot split the
+        # content's two primes, so no fingerprint can be complete
+        rows = tuple(run_census(parse_cover("u^2 - 1000003*1000033*t"), 30, effort=1).rows)
+        assert all(r.fingerprint is not None and not r.fingerprint.complete for r in rows)
+        assert rows[1] == (2, 2, True, diversity.FieldFingerprint((2,), False), True)
+
+    def test_reading_the_rows_evaluates_no_polynomial(self, monkeypatch):
+        # the census evaluates g's u-coefficients and D across each block
+        # by Horner's rule on their coefficients, not by IntPoly calls
+        census = run_census(SQRT_COVER, 2000)
+        calls = []
+        call = IntPoly.__call__
+        monkeypatch.setattr(IntPoly, "__call__", lambda self, n: calls.append(n) or call(self, n))
+        rows = tuple(census.rows)
+        assert len(rows) == 2000 and calls == []
